@@ -63,15 +63,6 @@ class Analyzer:
                 findings.extend(rule.check(name, ctx.documents[name]))
         return sort_findings(findings)
 
-    def analyze_policy(self, policy: SecurityPolicy,
-                       document: Optional[dict] = None,
-                       codes: Optional[Iterable[str]] = None,
-                       ) -> List[Finding]:
-        """Convenience wrapper: a set of one."""
-        documents = {policy.name: document} if document is not None else None
-        return self.analyze_policy_set({policy.name: policy},
-                                       documents=documents, codes=codes)
-
     def analyze_document(self, name: str, document: dict,
                          codes: Optional[Iterable[str]] = None,
                          ) -> List[Finding]:

@@ -11,6 +11,8 @@ import hashlib
 import hmac as _hmac
 import struct
 
+_pack_counter = struct.Struct(">Q").pack
+
 
 def sha256(*parts: bytes) -> bytes:
     """Hash the concatenation of ``parts`` with SHA-256."""
@@ -26,6 +28,23 @@ def hmac_sha256(key: bytes, *parts: bytes) -> bytes:
     for part in parts:
         mac.update(part)
     return mac.digest()
+
+
+def counter_blocks(prefix: "hashlib._Hash", first: int, count: int) -> bytes:
+    """Concatenate ``SHA-256(prefix || counter)`` for ``count`` counters.
+
+    ``prefix`` is a SHA-256 object that has already absorbed the fixed
+    prefix; each block hashes a copy of it plus the 8-byte big-endian
+    counter, starting at ``first``. This is the counter-mode core shared by
+    the DRBG and the AEAD keystream.
+    """
+    copy = prefix.copy
+    blocks = []
+    for counter in range(first, first + count):
+        block = copy()
+        block.update(_pack_counter(counter))
+        blocks.append(block.digest())
+    return b"".join(blocks)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
@@ -74,18 +93,17 @@ class DeterministicRandom:
         if not seed:
             raise ValueError("seed must be non-empty")
         self._state = sha256(b"repro-drbg-v1", seed)
+        self._prefix = hashlib.sha256(self._state)
         self._counter = 0
 
     def bytes(self, length: int) -> bytes:
         """Return ``length`` pseudo-random bytes."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        output = bytearray()
-        while len(output) < length:
-            block = sha256(self._state, struct.pack(">Q", self._counter))
-            self._counter += 1
-            output.extend(block)
-        return bytes(output[:length])
+        first = self._counter
+        count = (length + 31) // 32
+        self._counter = first + count
+        return counter_blocks(self._prefix, first, count)[:length]
 
     def fork(self, label: bytes) -> "DeterministicRandom":
         """Derive an independent child generator bound to ``label``.

@@ -4,19 +4,24 @@ The cipher is SHA-256 in counter mode as a keystream generator, with an
 encrypt-then-MAC HMAC-SHA-256 tag over nonce, associated data, and
 ciphertext. This gives real confidentiality and integrity inside the
 simulation with zero dependencies; a deployment would use AES-GCM.
+
+The kernel keeps the per-byte work in C: the keystream hashes a copy of a
+SHA-256 object that has already absorbed ``key || nonce``, the XOR is one
+big-integer operation, and the MAC copies an HMAC object keyed once per
+cipher.
 """
 
 from __future__ import annotations
 
-import struct
+import hashlib
+import hmac
 from dataclasses import dataclass
 
 from repro.crypto.primitives import (
     DeterministicRandom,
     constant_time_equal,
+    counter_blocks,
     hkdf,
-    hmac_sha256,
-    sha256,
 )
 from repro.errors import IntegrityError
 
@@ -51,16 +56,6 @@ class Ciphertext:
         return len(self.nonce) + len(self.tag) + len(self.body)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Generate ``length`` keystream bytes for (key, nonce)."""
-    blocks = bytearray()
-    counter = 0
-    while len(blocks) < length:
-        blocks.extend(sha256(key, nonce, struct.pack(">Q", counter)))
-        counter += 1
-    return bytes(blocks[:length])
-
-
 class AEADCipher:
     """Authenticated encryption with associated data under a single key.
 
@@ -71,8 +66,25 @@ class AEADCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_SIZE:
             raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
-        self._encryption_key = hkdf(key, b"aead-encryption")
-        self._mac_key = hkdf(key, b"aead-mac")
+        self._stream_prefix = hashlib.sha256(hkdf(key, b"aead-encryption"))
+        self._mac = hmac.new(hkdf(key, b"aead-mac"), digestmod=hashlib.sha256)
+
+    def _xor_keystream(self, data: bytes, nonce: bytes) -> bytes:
+        """XOR ``data`` with the keystream ``SHA-256(key || nonce || ctr)``."""
+        length = len(data)
+        prefix = self._stream_prefix.copy()
+        prefix.update(nonce)
+        stream = counter_blocks(prefix, 0, (length + 31) // 32)[:length]
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(stream, "big")).to_bytes(length, "big")
+
+    def _tag(self, nonce: bytes, associated_data: bytes, body: bytes) -> bytes:
+        """HMAC-SHA-256 over ``nonce || associated_data || body``."""
+        mac = self._mac.copy()
+        mac.update(nonce)
+        mac.update(associated_data)
+        mac.update(body)
+        return mac.digest()
 
     def encrypt(self, plaintext: bytes, nonce: bytes,
                 associated_data: bytes = b"") -> Ciphertext:
@@ -84,21 +96,18 @@ class AEADCipher:
         """
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-        stream = _keystream(self._encryption_key, nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac_sha256(self._mac_key, nonce, associated_data, body)
-        return Ciphertext(nonce=nonce, body=body, tag=tag)
+        body = self._xor_keystream(plaintext, nonce)
+        return Ciphertext(nonce=nonce, body=body,
+                          tag=self._tag(nonce, associated_data, body))
 
     def decrypt(self, ciphertext: Ciphertext,
                 associated_data: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`IntegrityError` on tampering."""
-        expected = hmac_sha256(self._mac_key, ciphertext.nonce,
-                               associated_data, ciphertext.body)
+        expected = self._tag(ciphertext.nonce, associated_data,
+                             ciphertext.body)
         if not constant_time_equal(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag mismatch")
-        stream = _keystream(self._encryption_key, ciphertext.nonce,
-                            len(ciphertext.body))
-        return bytes(c ^ s for c, s in zip(ciphertext.body, stream))
+        return self._xor_keystream(ciphertext.body, ciphertext.nonce)
 
 
 class SecretBox:

@@ -254,9 +254,6 @@ class FaultPlan:
         self.injected[kind] = self.injected.get(kind, 0) + 1
         self.telemetry.inc("palaemon_faults_injected_total", kind=kind)
 
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def summary(self) -> Dict[str, int]:
         """Injected fault counts by kind, sorted for stable rendering."""
         return dict(sorted(self.injected.items()))

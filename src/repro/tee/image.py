@@ -66,10 +66,6 @@ class EnclaveImage:
     def measured_pages(self) -> int:
         return self.measured_bytes // calibration.PAGE_SIZE
 
-    @property
-    def total_pages(self) -> int:
-        return self.total_bytes // calibration.PAGE_SIZE
-
     def mrenclave(self) -> bytes:
         """The enclave measurement: SHA-256 over measured pages in order.
 

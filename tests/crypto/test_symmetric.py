@@ -212,7 +212,7 @@ class TestKnownAnswers:
             assert box.open(s, ad) == plaintext
 
 
-# Reference kernel: the original byte-at-a-time construction, kept here (not in
+# Reference kernel: the plain byte-at-a-time construction, kept here (not in
 # the package) so the property test below checks the fast kernel against it.
 def reference_keystream(key, nonce, length):
     blocks = bytearray()
