@@ -12,56 +12,22 @@ fenced forever.
 Run:  python examples/federation_failover.py
 """
 
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
 from repro.core.failover import FailoverCoordinator
 from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
-from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
-from repro.fs.blockstore import BlockStore
-from repro.sim.core import Simulator
+from repro.deployment import Deployment
 from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
-
-
-def make_instance(simulator, ias, ca, name, seed):
-    rng = DeterministicRandom(seed)
-    platform = SGXPlatform(simulator, f"{name}-node", rng.fork(b"platform"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
-                              rng.fork(b"service"), name=name)
-    service.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    simulator.run_process(service.start())
-    service.obtain_certificate(ca)
-    return service
 
 
 def main() -> None:
-    rng = DeterministicRandom(b"federation-example")
-    simulator = Simulator()
-    bootstrap_platform = SGXPlatform(simulator, "ca-node",
-                                     rng.fork(b"ca-platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(
-        bootstrap_platform.quoting_enclave.attestation_public_key,
-        bootstrap_platform.microcode.revision)
-
     # One CA; every instance below runs the same (approved) PALAEMON build.
-    probe = PalaemonService(bootstrap_platform, BlockStore("probe"),
-                            rng.fork(b"probe"), name="probe")
-    ca = PalaemonCA(bootstrap_platform, ias, frozenset({probe.mrenclave}),
-                    rng.fork(b"ca"))
-
-    local = make_instance(simulator, ias, ca, "local", b"seed-local")
-    regional = make_instance(simulator, ias, ca, "regional", b"seed-regional")
-    remote = make_instance(simulator, ias, ca, "remote", b"seed-remote")
+    deployment = Deployment(seed=b"federation-example", name="local")
+    simulator, ca = deployment.simulator, deployment.ca
+    local = deployment.palaemon
+    regional = deployment.add_instance("regional")
+    remote = deployment.add_instance("remote")
 
     federation = Federation()
     sites = {"local": Site.SAME_RACK, "regional": Site.SAME_DC,
@@ -74,7 +40,7 @@ def main() -> None:
           f"{ {name: inst.peers() for name, inst in federation.instances.items()} }")
 
     # The remote instance holds the producer policy exporting a model key.
-    producer_owner = PalaemonClient("model-owner", rng.fork(b"owner"))
+    producer_owner = deployment.client("model-owner")
     producer_owner.attest_instance_via_ca(remote, ca.root_public_key,
                                           now=simulator.now)
     image = build_image("consumer-app", seed=b"v1")
@@ -105,8 +71,7 @@ def main() -> None:
     print(f"Policy discovery: 'model_producer' lives on {holder!r}.")
 
     # --- fail-over -----------------------------------------------------------
-    backup = make_instance(simulator, ias, ca, "local-backup",
-                           b"seed-backup")
+    backup = deployment.add_instance("local-backup")
     coordinator = FailoverCoordinator(local, backup)
 
     def replicate():

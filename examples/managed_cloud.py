@@ -16,49 +16,30 @@ fooled into:
 Run:  python examples/managed_cloud.py
 """
 
-from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
+from repro.deployment import Deployment
 from repro.errors import (
     AttestationError,
     ConcurrentInstanceError,
     StaleDatabaseError,
 )
 from repro.fs.blockstore import BlockStore
-from repro.sim.core import Simulator
-from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 
 def main() -> None:
-    rng = DeterministicRandom(b"managed-cloud")
-    simulator = Simulator()
-    platform = SGXPlatform(simulator, "provider-node", rng.fork(b"platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-
     # The provider hosts the instance; the volume is under its control.
-    provider_volume = BlockStore("provider-volume")
-    palaemon = PalaemonService(platform, provider_volume,
-                               rng.fork(b"palaemon"), name="managed-1")
-    palaemon.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    simulator.run_process(palaemon.start())
-    ca = PalaemonCA(platform, ias, frozenset({palaemon.mrenclave}),
-                    rng.fork(b"ca"))
-    palaemon.obtain_certificate(ca)
+    deployment = Deployment(seed=b"managed-cloud", name="managed-1")
+    simulator, platform, rng = (deployment.simulator, deployment.platform,
+                                deployment.rng)
+    ias, ca, palaemon = deployment.ias, deployment.ca, deployment.palaemon
+    provider_volume = deployment.volume
 
     # --- 1. both attestation paths succeed on the genuine instance --------
-    client = PalaemonClient("tenant", rng.fork(b"tenant"))
-    client.attest_instance_via_ca(palaemon, ca.root_public_key,
-                                  now=simulator.now)
+    client = deployment.client("tenant")  # attested via the CA
     client.attest_instance_explicitly(
         palaemon, ias, trusted_mrenclaves=frozenset({palaemon.mrenclave}))
     print("1. Client attested the managed instance via CA *and* via "

@@ -12,47 +12,24 @@ Cast:
 Run:  python examples/ml_pipeline.py
 """
 
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
-from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
+from repro.deployment import Deployment
 from repro.errors import StrictModeError, TagMismatchError
 from repro.fs.blockstore import BlockStore
 from repro.runtime.scone import SconeRuntime
-from repro.sim.core import Simulator
-from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 MODEL_QUOTA = 3
 
 
 def main() -> None:
-    rng = DeterministicRandom(b"ml-pipeline")
-    simulator = Simulator()
-    platform = SGXPlatform(simulator, "cloud-node", rng.fork(b"platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-    palaemon = PalaemonService(platform, BlockStore("palaemon-volume"),
-                               rng.fork(b"palaemon"))
-    palaemon.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    simulator.run_process(palaemon.start())
-    ca = PalaemonCA(platform, ias, frozenset({palaemon.mrenclave}),
-                    rng.fork(b"ca"))
-    palaemon.obtain_certificate(ca)
+    deployment = Deployment(seed=b"ml-pipeline")
+    palaemon = deployment.palaemon
 
     # The software provider owns the policy; its engine runs in strict
     # mode so unclean exits (and rollbacks) freeze the pipeline.
-    software_provider = PalaemonClient("software-provider",
-                                       rng.fork(b"sw-provider"))
-    software_provider.attest_instance_via_ca(palaemon, ca.root_public_key,
-                                             now=simulator.now)
+    software_provider = deployment.client("software-provider")
     engine_image = build_image("python-ml-engine", seed=b"engine-v1")
     policy = SecurityPolicy(
         name="ml_training",
@@ -69,7 +46,8 @@ def main() -> None:
     print("Software provider registered the strict-mode training policy.")
 
     # The model provider runs training jobs on a volume it controls.
-    runtime = SconeRuntime(platform, palaemon, rng.fork(b"runtime"))
+    runtime = SconeRuntime(deployment.platform, palaemon,
+                           deployment.rng.fork(b"runtime"))
     volume = BlockStore("model-provider-volume")
 
     def train_once(label: str) -> None:

@@ -3,30 +3,22 @@
 
 This walks the minimal end-to-end path of the paper's §IV:
 
-1. build a simulated SGX platform and an IAS;
-2. start a PALAEMON instance (Fig 6 startup protocol) and certify it via
+1. stand up a deployment: a simulated SGX platform registered with IAS,
+   a PALAEMON instance started with the Fig 6 protocol and certified by
    the PALAEMON CA;
-3. a client attests the instance and creates a security policy from a
+2. a client attests the instance and creates a security policy from a
    YAML document shaped like the paper's List 1;
-4. the SCONE runtime launches the application, which is attested and
+3. the SCONE runtime launches the application, which is attested and
    receives its arguments, environment, file-system key, and injected
    config file — without any source-code change.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
 from repro.core.policy import SecurityPolicy
-from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
-from repro.fs.blockstore import BlockStore
+from repro.deployment import Deployment
 from repro.runtime.scone import SconeRuntime
-from repro.sim.core import Simulator
-from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 POLICY_YAML = """
 name: quickstart_policy
@@ -51,33 +43,15 @@ secrets:
 
 
 def main() -> None:
-    rng = DeterministicRandom(b"quickstart")
-    simulator = Simulator()
-
     # --- infrastructure: a platform, IAS, PALAEMON, and its CA ------------
-    platform = SGXPlatform(simulator, "node-1", rng.fork(b"platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-
-    palaemon = PalaemonService(platform, BlockStore("palaemon-volume"),
-                               rng.fork(b"palaemon"))
-    palaemon.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    simulator.run_process(palaemon.start())
+    deployment = Deployment(seed=b"quickstart")
+    palaemon = deployment.palaemon
     print(f"PALAEMON instance up, MRENCLAVE "
           f"{palaemon.mrenclave.hex()[:16]}...")
-
-    ca = PalaemonCA(platform, ias, frozenset({palaemon.mrenclave}),
-                    rng.fork(b"ca"))
-    palaemon.obtain_certificate(ca)
     print("PALAEMON CA issued the instance certificate (IAS-attested).")
 
     # --- a client attests the instance and creates a policy ---------------
-    client = PalaemonClient("quickstart-client", rng.fork(b"client"))
-    client.attest_instance_via_ca(palaemon, ca.root_public_key,
-                                  now=simulator.now)
+    client = deployment.client("quickstart-client")
     print("Client attested the instance via the CA root.")
 
     app_image = build_image("web-app-image", seed=b"release-1")
@@ -89,7 +63,8 @@ def main() -> None:
           f"({len(policy.secrets)} secrets materialized).")
 
     # --- launch the application through the SCONE runtime -----------------
-    runtime = SconeRuntime(platform, palaemon, rng.fork(b"runtime"))
+    runtime = SconeRuntime(deployment.platform, palaemon,
+                           deployment.rng.fork(b"runtime"))
     app = runtime.launch(app_image, "quickstart_policy", "web_app")
     print("Application attested and configured:")
     print(f"  argv        = {app.argv()}   (no secrets: argv is visible "

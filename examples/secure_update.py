@@ -15,16 +15,9 @@ veto rights) governs an application policy. The example walks through:
 Run:  python examples/secure_update.py
 """
 
-from repro.core.board import AccessRequest, ApprovalService, BoardEvaluator
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
-from repro.core.policy import (
-    BoardSpec,
-    PolicyBoardMember,
-    SecurityPolicy,
-    ServiceSpec,
-)
-from repro.core.service import PalaemonService, build_palaemon_image
+from repro.core.board import AccessRequest
+from repro.core.policy import SecurityPolicy, ServiceSpec
+from repro.core.service import build_palaemon_image
 from repro.core.update import (
     CAUpdateCoordinator,
     ImagePolicyExport,
@@ -32,63 +25,27 @@ from repro.core.update import (
     apply_image_export,
     prepare_application_update,
 )
-from repro.crypto.certificates import self_signed_certificate
-from repro.crypto.primitives import DeterministicRandom
-from repro.crypto.signatures import KeyPair
+from repro.deployment import Deployment
 from repro.errors import (
     ApprovalDeniedError,
     AttestationError,
     MrenclaveNotPermittedError,
     VetoError,
 )
-from repro.fs.blockstore import BlockStore
 from repro.runtime.scone import SconeRuntime
-from repro.sim.core import Simulator
-from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 
 def main() -> None:
-    rng = DeterministicRandom(b"secure-update")
-    simulator = Simulator()
-    platform = SGXPlatform(simulator, "node", rng.fork(b"platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-
     # --- the board: developer, auditor, data provider (veto) --------------
-    approval_services = {}
-    members = []
-    decision_rules = {}
-    for name, veto in (("developer", False), ("auditor", False),
-                       ("data-provider", True)):
-        keys = KeyPair.generate(rng.fork(name.encode()), bits=512)
-        endpoint = f"approval-{name}"
-        service = ApprovalService(simulator, name, keys)
-        approval_services[endpoint] = service
-        decision_rules[name] = service
-        members.append(PolicyBoardMember(
-            name=name, certificate=self_signed_certificate(name, keys),
-            approval_endpoint=endpoint, veto=veto))
-    board = BoardSpec(members=tuple(members), threshold=2)  # f+1 with f=1
-    evaluator = BoardEvaluator(simulator, approval_services)
-
-    palaemon = PalaemonService(platform, BlockStore("palaemon-volume"),
-                               rng.fork(b"palaemon"),
-                               board_evaluator=evaluator)
-    palaemon.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    simulator.run_process(palaemon.start())
-    ca = PalaemonCA(platform, ias, frozenset({palaemon.mrenclave}),
-                    rng.fork(b"ca"))
-    palaemon.obtain_certificate(ca)
-
-    operator = PalaemonClient("operator", rng.fork(b"operator"))
-    operator.attest_instance_via_ca(palaemon, ca.root_public_key,
-                                    now=simulator.now)
+    deployment = Deployment(seed=b"secure-update",
+                            board=["developer", "auditor", "data-provider"],
+                            threshold=2,  # f+1 with f=1
+                            veto={"data-provider"})
+    palaemon, ca, board = deployment.palaemon, deployment.ca, deployment.board
+    decision_rules = {name: deployment.approval_services[f"approval-{name}"]
+                      for name in ("developer", "auditor", "data-provider")}
+    operator = deployment.client("operator")
 
     v1 = build_image("service-image", seed=b"v1", version="1.0")
     policy = SecurityPolicy(
@@ -99,7 +56,8 @@ def main() -> None:
     operator.create_policy(palaemon, policy)
     print("Policy created under a 3-member board (threshold 2, "
           "data provider holds veto).")
-    runtime = SconeRuntime(platform, palaemon, rng.fork(b"runtime"))
+    runtime = SconeRuntime(deployment.platform, palaemon,
+                           deployment.rng.fork(b"runtime"))
     runtime.launch(v1, "governed_service", "service")
     print("v1 attested and running.")
 
@@ -179,10 +137,11 @@ def main() -> None:
 
     # --- 5. updating PALAEMON itself (via its CA) ---------------------------
     new_palaemon_mre = build_palaemon_image(version="2.0").mrenclave()
-    coordinator = CAUpdateCoordinator(board, evaluator, operator.certificate)
+    coordinator = CAUpdateCoordinator(board, deployment.evaluator,
+                                      operator.certificate)
     new_ca = coordinator.approve_and_build(
         ca, frozenset({palaemon.mrenclave, new_palaemon_mre}),
-        rng.fork(b"ca-v2"), version="2.0")
+        deployment.rng.fork(b"ca-v2"), version="2.0")
     palaemon.obtain_certificate(new_ca)
     print("5. board approved the CA update; the new CA certifies both the "
           "current and the next PALAEMON version. Done.")

@@ -29,11 +29,9 @@ from typing import Any, Dict, Generator, Tuple
 
 from repro.benchlib.export import export_experiment
 from repro.core.service import PalaemonService, _ServiceState
-from repro.crypto.primitives import DeterministicRandom, sha256
-from repro.fs.blockstore import BlockStore
-from repro.obs.telemetry import Telemetry
+from repro.crypto.primitives import sha256
+from repro.deployment import Deployment
 from repro.sim.core import Event, Simulator
-from repro.tee.platform import SGXPlatform
 
 #: The per-policy payload stored in the policies table: sized so a
 #: 1,000-policy database pickles to ~2 MB, matching a small production
@@ -46,23 +44,18 @@ def build_service(name: str, seed: bytes, policies: int,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
                   legacy: bool = False,
                   ) -> Tuple[Simulator, PalaemonService]:
-    """A minimal started PALAEMON instance seeded with ``policies`` entries.
+    """A started PALAEMON deployment seeded with ``policies`` entries.
 
     The database is bulk-seeded directly through the store (one commit at
     the end) so setup cost does not depend on the flush strategy under
     test; per-policy payloads and service states are deterministic
     functions of the seed.
     """
-    rng = DeterministicRandom(seed)
-    simulator = Simulator()
-    platform = SGXPlatform(simulator, f"{name}-node", rng.fork(b"platform"))
-    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
-                              rng.fork(b"service"), name=name,
-                              telemetry=Telemetry.for_simulator(simulator))
+    deployment = Deployment(seed, name=name)
+    service = deployment.palaemon
     if legacy:
         service.store.use_legacy_monolithic_format()
-    simulator.run_process(service.start(), name=f"{name}-start")
-    payload_rng = rng.fork(b"payloads")
+    payload_rng = deployment.rng.fork(b"payloads")
     for index in range(policies):
         policy_name = _policy_name(index)
         service.store.put("policies", policy_name, {
@@ -72,7 +65,7 @@ def build_service(name: str, seed: bytes, policies: int,
         })
         service.store.put("state", policy_name, {"svc": _ServiceState()})
     service.store.commit_instant()
-    return simulator, service
+    return deployment.simulator, service
 
 
 def _policy_name(index: int) -> str:

@@ -32,38 +32,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List
 
-from repro.core.client import PalaemonClient
 from repro.core.failover import FailoverCoordinator
 from repro.core.federation import FederatedInstance
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.rest import PalaemonRestClient, PalaemonRestServer
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
+from repro.deployment import Deployment
 from repro.errors import CounterUnavailableError, RetryExhaustedError
 from repro.fs.blockstore import BlockStore
-from repro.obs.telemetry import Telemetry
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
-
-
-def _make_instance(simulator: Simulator, ias, name: str, seed: bytes,
-                   telemetry: Telemetry) -> PalaemonService:
-    rng = DeterministicRandom(seed)
-    platform = SGXPlatform(simulator, f"{name}-node", rng.fork(b"platform"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
-                              rng.fork(b"service"), name=name,
-                              telemetry=telemetry)
-    service.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    return service
 
 
 def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
@@ -77,31 +60,16 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     pre-retry behaviour, kept reachable as a regression guard.
     """
     label = b"chaos:%d" % seed
-    rng = DeterministicRandom(label)
-    simulator = Simulator()
-    telemetry = Telemetry.for_simulator(simulator)
+    deployment = Deployment(label)
+    primary = deployment.palaemon
+    backup = deployment.add_instance("palaemon-2")
+    simulator, rng, ca = deployment.simulator, deployment.rng, deployment.ca
+    telemetry = deployment.telemetry
     network = Network(simulator, rng.fork(b"net"))
     plan = FaultPlan(simulator, seed=label, telemetry=telemetry)
     plan.attach_network(network)
 
-    from repro.tee.ias import IntelAttestationService
-
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    primary = _make_instance(simulator, ias, "palaemon-1",
-                             b"chaos-primary", telemetry)
-    backup = _make_instance(simulator, ias, "palaemon-2",
-                            b"chaos-backup", telemetry)
-    simulator.run_process(primary.start(), name="start-primary")
-    simulator.run_process(backup.start(), name="start-backup")
-
-    from repro.core.ca import PalaemonCA
-
-    ca = PalaemonCA(primary.platform, ias, frozenset({primary.mrenclave}),
-                    rng.fork(b"ca"))
-    primary.obtain_certificate(ca)
-    backup.obtain_certificate(ca)
-
-    client = PalaemonClient("chaos-client", rng.fork(b"client"))
+    client = deployment.client("chaos-client")
     app_image = build_image("chaos-app", seed=b"v1")
     producer = SecurityPolicy(
         name="producer_policy",

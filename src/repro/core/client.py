@@ -35,6 +35,8 @@ class PalaemonClient:
             name, self._keys)
         #: Set after successful attestation of an instance.
         self.attested_instances: set = set()
+        #: REST connections opened so far; each gets its own endpoint.
+        self.connections = 0
 
     @property
     def public_key(self) -> PublicKey:

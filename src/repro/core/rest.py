@@ -88,9 +88,18 @@ class PalaemonRestClient:
                 server: PalaemonRestServer, client_site: Site,
                 rng: DeterministicRandom, trusted_root=None,
                 ) -> Generator[Event, Any, "PalaemonRestClient"]:
-        """Handshake (optionally verifying the instance's CA certificate)."""
+        """Handshake (optionally verifying the instance's CA certificate).
+
+        Every connection gets its own endpoint (``<client>-conn``, then
+        ``<client>-conn-2``, ...): connections sharing one mailbox would
+        read each other's replies.
+        """
+        client.connections += 1
+        name = f"{client.name}-conn"
+        if client.connections > 1:
+            name += f"-{client.connections}"
         connection = yield network.simulator.process(TLSConnection.connect(
-            network, f"{client.name}-conn", client_site, server.endpoint,
+            network, name, client_site, server.endpoint,
             rng, server_certificate=server.service.certificate,
             trusted_root=trusted_root,
             client_certificate=client.certificate,

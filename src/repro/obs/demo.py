@@ -18,69 +18,29 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.board import ApprovalService, BoardEvaluator
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
-from repro.core.policy import (
-    BoardSpec,
-    PolicyBoardMember,
-    SecurityPolicy,
-    ServiceSpec,
-    VolumeSpec,
-)
+from repro.core.attestation import AttestationEvidence
+from repro.core.policy import SecurityPolicy, ServiceSpec, VolumeSpec
 from repro.core.rest import PalaemonRestClient, PalaemonRestServer, RemoteError
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.certificates import self_signed_certificate
-from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.primitives import sha256
 from repro.crypto.signatures import KeyPair
+from repro.deployment import Deployment
 from repro.errors import IntegrityError
-from repro.fs.blockstore import BlockStore
-from repro.sim.core import Simulator
 from repro.sim.network import Network, Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 
 def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
     """Run the demo workload; returns the (stopped) instrumented service."""
-    rng = DeterministicRandom(seed)
-    simulator = Simulator()
-    platform = SGXPlatform(simulator, "observe-node", rng.fork(b"platform"))
-    ias = IntelAttestationService(simulator, Site.IAS_US, rng.fork(b"ias"))
-    ias.register_platform(platform.quoting_enclave.attestation_public_key,
-                          platform.microcode.revision)
-
     # A three-member board, threshold two.
-    approval_services = {}
-    members = []
-    for index in range(3):
-        name = f"member-{index}"
-        keys = KeyPair.generate(rng.fork(name.encode()), bits=512)
-        endpoint = f"approval-{name}"
-        approval_services[endpoint] = ApprovalService(simulator, name, keys)
-        members.append(PolicyBoardMember(
-            name=name, certificate=self_signed_certificate(name, keys),
-            approval_endpoint=endpoint))
-    board = BoardSpec(members=tuple(members), threshold=2)
-    evaluator = BoardEvaluator(simulator, approval_services)
-
-    service = PalaemonService(platform, BlockStore("observe-volume"),
-                              rng.fork(b"palaemon"),
-                              board_evaluator=evaluator,
-                              name="palaemon-observe")
-    service.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    ca = PalaemonCA(platform, ias, frozenset({service.mrenclave}),
-                    rng.fork(b"ca"))
-    simulator.run_process(service.start(), name="observe-start")
-    service.obtain_certificate(ca)
-
-    client = PalaemonClient("observe-client", rng.fork(b"client"))
-    client.attest_instance_via_ca(service, ca.root_public_key,
-                                  now=simulator.now)
+    deployment = Deployment(seed, name="palaemon-observe",
+                            board=["member-0", "member-1", "member-2"],
+                            threshold=2)
+    simulator, platform, rng = (deployment.simulator, deployment.platform,
+                                deployment.rng)
+    service = deployment.palaemon
+    client = deployment.client("observe-client")
 
     # The REST front-end, reached over the simulated network.
     network = Network(simulator, rng.fork(b"network"))
@@ -88,7 +48,7 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
     rest = simulator.run_process(
         PalaemonRestClient.connect(network, client, server, Site.SAME_DC,
                                    rng.fork(b"rest"),
-                                   trusted_root=ca.root_public_key),
+                                   trusted_root=deployment.ca.root_public_key),
         name="observe-connect")
     rest.telemetry = service.telemetry
 
@@ -105,7 +65,7 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
         secrets=[SecretSpec(name="API_KEY", kind=SecretKind.RANDOM,
                             size=32)],
         volumes=[VolumeSpec(name="data", path="/data")],
-        board=board,
+        board=deployment.board,
     )
 
     def evidence():
@@ -113,8 +73,6 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
         tls_keys = KeyPair.generate(rng.fork(b"app-tls"), bits=512)
         quote = platform.quoting_enclave.quote(
             enclave, sha256(tls_keys.public.to_bytes()))
-        from repro.core.attestation import AttestationEvidence
-
         return AttestationEvidence(quote=quote, policy_name="observe_policy",
                                    service_name="app",
                                    tls_public_key=tls_keys.public)

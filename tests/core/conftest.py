@@ -1,96 +1,33 @@
 """Shared fixtures for PALAEMON core tests.
 
-These build a complete functional deployment: a platform, an IAS, a CA, a
-PALAEMON instance with a board evaluator, a client, and a sample application
-image — the smallest assembly in which every §III/§IV protocol can run.
+:class:`Deployment` is the library's :class:`repro.deployment.Deployment`
+with the test defaults — a three-member board (``member-0``..``member-2``,
+threshold two), an attested client ``client-1`` and a sample application
+image — plus the policy and evidence helpers most tests need.
 """
 
 import pytest
 
-from repro.core.board import ApprovalService, BoardEvaluator
-from repro.core.ca import PalaemonCA
-from repro.core.client import PalaemonClient
-from repro.core.policy import (
-    BoardSpec,
-    PolicyBoardMember,
-    SecurityPolicy,
-    ServiceSpec,
-)
+from repro import deployment as builder
+from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
-from repro.core.service import PalaemonService
-from repro.crypto.certificates import self_signed_certificate
-from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
-from repro.fs.blockstore import BlockStore
-from repro.sim.core import Simulator
-from repro.sim.network import Site
-from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
-from repro.tee.platform import SGXPlatform
 
 
-class Deployment:
+class Deployment(builder.Deployment):
     """A fully wired PALAEMON deployment for tests."""
 
     def __init__(self, seed: bytes = b"deployment",
                  board_members: int = 3, board_threshold: int = 2,
                  veto_members=()):
-        self.rng = DeterministicRandom(seed)
-        self.simulator = Simulator()
-        self.platform = SGXPlatform(self.simulator, "node-1",
-                                    self.rng.fork(b"platform"))
-        self.ias = IntelAttestationService(self.simulator, Site.IAS_US,
-                                           self.rng.fork(b"ias"))
-        self.ias.register_platform(
-            self.platform.quoting_enclave.attestation_public_key,
-            self.platform.microcode.revision)
-
-        # Board members with approval services.
-        self.approval_services = {}
-        self.member_keys = {}
-        members = []
-        for index in range(board_members):
-            name = f"member-{index}"
-            keys = KeyPair.generate(self.rng.fork(name.encode()), bits=512)
-            self.member_keys[name] = keys
-            certificate = self_signed_certificate(name, keys)
-            endpoint = f"approval-{name}"
-            self.approval_services[endpoint] = ApprovalService(
-                self.simulator, name, keys)
-            members.append(PolicyBoardMember(
-                name=name, certificate=certificate,
-                approval_endpoint=endpoint, veto=(name in veto_members)))
-        self.board = BoardSpec(members=tuple(members),
-                               threshold=board_threshold)
-        self.evaluator = BoardEvaluator(self.simulator,
-                                        self.approval_services)
-
-        # The PALAEMON instance and its CA.
-        self.volume = BlockStore("palaemon-volume")
-        self.palaemon = PalaemonService(
-            self.platform, self.volume, self.rng.fork(b"palaemon"),
-            board_evaluator=self.evaluator)
-        self.palaemon.platform_registry.enroll(
-            self.platform.platform_id,
-            self.platform.quoting_enclave.attestation_public_key)
-        self.ca = PalaemonCA(self.platform, self.ias,
-                             frozenset({self.palaemon.mrenclave}),
-                             self.rng.fork(b"ca"))
-        self.start_palaemon()
-        self.palaemon.obtain_certificate(self.ca)
-
-        # A client that has attested the instance.
-        self.client = PalaemonClient("client-1", self.rng.fork(b"client"))
-        self.client.attest_instance_via_ca(self.palaemon,
-                                           self.ca.root_public_key,
-                                           now=self.simulator.now)
-
-        # A sample application.
+        super().__init__(
+            seed, board=[f"member-{index}" for index in range(board_members)],
+            threshold=board_threshold, veto=veto_members)
+        # The default client; on this object it shadows the ``client(name)``
+        # factory, which stays reachable as ``builder.Deployment.client``.
+        self.client = super().client("client-1")
         self.app_image = build_image("ml-engine", seed=b"v1")
-
-    def start_palaemon(self):
-        self.simulator.run_process(self.palaemon.start(),
-                                   name="palaemon-start")
 
     def stop_palaemon(self):
         self.simulator.run_process(self.palaemon.shutdown(),

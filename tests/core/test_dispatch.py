@@ -39,7 +39,6 @@ from repro.errors import (
 from repro.sim.network import Network, Site
 
 from tests.core.conftest import Deployment
-from tests.test_extensions import make_second_instance
 
 TRANSPORTS = ("rest", "federation", "failover", "inprocess")
 
@@ -215,7 +214,7 @@ def make_networked_pair(deployment):
     local = FederatedInstance(
         deployment.palaemon, Site.SAME_RACK, deployment.ca.root_public_key,
         network=network, rng=deployment.rng.fork(b"fed-local"))
-    remote_service = make_second_instance(deployment)
+    remote_service = deployment.add_instance("palaemon-2")
     remote = FederatedInstance(
         remote_service, Site.SAME_DC, deployment.ca.root_public_key,
         network=network, rng=deployment.rng.fork(b"fed-remote"))

@@ -102,30 +102,11 @@ class TestDCAP:
         assert authority.lookup(b"\x00" * 16) is None
 
 
-def make_second_instance(deployment, name="palaemon-2", site=Site.SAME_DC):
-    """A second genuine PALAEMON on its own platform, CA-certified."""
-    rng = DeterministicRandom(name.encode())
-    platform = SGXPlatform(deployment.simulator, f"{name}-node",
-                           rng.fork(b"platform"))
-    deployment.ias.register_platform(
-        platform.quoting_enclave.attestation_public_key,
-        platform.microcode.revision)
-    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
-                              rng.fork(b"service"), name=name,
-                              board_evaluator=deployment.evaluator)
-    service.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    deployment.simulator.run_process(service.start())
-    service.obtain_certificate(deployment.ca)
-    return service
-
-
 class TestFederation:
     def make_pair(self, deployment):
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
                                   deployment.ca.root_public_key)
-        remote_service = make_second_instance(deployment)
+        remote_service = deployment.add_instance("palaemon-2")
         remote = FederatedInstance(remote_service,
                                    Site.CONTINENTAL_7000KM,
                                    deployment.ca.root_public_key)
@@ -235,11 +216,11 @@ class TestFederation:
         federation = Federation()
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
                                   deployment.ca.root_public_key)
-        second = FederatedInstance(make_second_instance(deployment),
+        second = FederatedInstance(deployment.add_instance("palaemon-2"),
                                    Site.SAME_DC,
                                    deployment.ca.root_public_key)
         third = FederatedInstance(
-            make_second_instance(deployment, name="palaemon-3"),
+            deployment.add_instance("palaemon-3"),
             Site.REGIONAL_300KM, deployment.ca.root_public_key)
         for instance in (local, second, third):
             federation.add(instance)
@@ -252,7 +233,7 @@ class TestFederation:
 
 class TestFailover:
     def make_coordinator(self, deployment):
-        backup = make_second_instance(deployment, name="palaemon-backup")
+        backup = deployment.add_instance("palaemon-backup")
         return FailoverCoordinator(deployment.palaemon, backup)
 
     def test_same_platform_backup_rejected(self, deployment):

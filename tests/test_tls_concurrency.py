@@ -200,3 +200,37 @@ class TestMalformedRequestsOverTls:
         assert sorted(replies) == ["bad_request", "bad_request",
                                    "unknown_route"]
         server.stop()
+
+
+class TestConnectionsOfOneClient:
+    def test_two_connections_keep_separate_mailboxes(self):
+        """Two REST connections from one client, each with a call in
+        flight: every reply reaches the connection that asked for it
+        (with a shared mailbox, network jitter hands one connection the
+        other's reply and opening it fails the AEAD check)."""
+        from repro.core.rest import PalaemonRestClient, PalaemonRestServer
+        from repro.deployment import Deployment
+
+        deployment = Deployment(seed=b"two-connections")
+        simulator = deployment.simulator
+        client = deployment.client("tenant")
+        network = Network(simulator, deployment.rng.fork(b"rest-net"))
+        server = PalaemonRestServer(deployment.palaemon, network)
+
+        def connect(label):
+            return simulator.run_process(PalaemonRestClient.connect(
+                network, client, server, Site.SAME_DC,
+                deployment.rng.fork(label),
+                trusted_root=deployment.ca.root_public_key))
+
+        connections = (connect(b"first"), connect(b"second"))
+
+        def main():
+            for _ in range(10):
+                replies = yield simulator.all_of([
+                    simulator.process(connection.call("policy.list"))
+                    for connection in connections])
+                assert replies == [[], []]
+
+        simulator.run_process(main())
+        server.stop()
