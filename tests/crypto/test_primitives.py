@@ -172,6 +172,24 @@ class TestKnownAnswers:
             "f4d6d077c7b640c47c814981cd27e3d702ec274e0f8bafa3fe13a13d134a6250"
             "c02b657245f8b610")
 
+    def test_drbg_draw_sizes(self):
+        # Around the one-block boundary; an empty draw consumes no block.
+        rng = DeterministicRandom(b"kat-drbg-draws")
+        assert [rng.bytes(n).hex() for n in (0, 1, 31, 32, 33)] == [
+            "",
+            "f6",
+            "8e20a08ace3abd77d2180daec4945f6f70d11d076900f85f488f0dc3df7de3",
+            "806d91b1bab8245d7478585f1888daf57aa9ee98e390c3f89f18f3284a0f051c",
+            "4fc4093859c01d2e6276d0e63782705ba16cd69f08a4d5dc9170f9c99ddee6ec"
+            "68"]
+
+    def test_drbg_derived_draws(self):
+        rng = DeterministicRandom(b"kat-drbg-draws")
+        assert rng.randint(0, 99) == 42
+        assert repr(rng.random()) == "0.501671892062149"
+        assert repr(rng.expovariate(250000.0)) == "1.4934538299975635e-06"
+        assert rng.randint(10**20, 10**21) == 231194780917594824149
+
     def test_hkdf(self):
         assert hkdf(b"kat-ikm", b"kat-info", 64, salt=b"kat-salt").hex() == (
             "e02838d75bb94332f67458f00532311894d09b38a6248939586c53f1233a53db"

@@ -1,9 +1,13 @@
 """Tests for the discrete-event simulation kernel."""
 
+import hashlib
+
 import pytest
 
-from repro.errors import SimTimeError, SimulationError
+from repro.crypto.primitives import DeterministicRandom
+from repro.errors import DeadlineExceededError, SimTimeError, SimulationError
 from repro.sim.core import ProcessInterrupt, Simulator
+from repro.sim.resources import Resource, Store
 
 
 class TestTimeouts:
@@ -262,3 +266,110 @@ class TestRun:
         sim.now = 10.0
         with pytest.raises(SimTimeError):
             sim._enqueue(5.0, sim.event())
+
+
+def _event_core_scenario():
+    """A canned run touching every kernel path; returns (sim, log).
+
+    Open-loop arrivals queue on a contended two-slot resource and hand
+    their results to a consumer through a store; a getter is abandoned by
+    a ``with_timeout`` deadline that interrupts it (and, through a nested
+    request, a second process); an ``all_of`` gates on every request; a
+    process waits on an already-finished child; and one crash has no
+    waiter.
+    """
+    sim = Simulator()
+    rng = DeterministicRandom(b"kat-event-core")
+    cpu = Resource(sim, capacity=2, name="cpu")
+    mailbox = Store(sim, name="mailbox")
+    log = []
+
+    def note(*fields):
+        log.append(" ".join([repr(sim.now)] + [str(f) for f in fields]))
+
+    def request(index):
+        yield cpu.acquire()
+        try:
+            yield sim.timeout(0.005 + 0.02 * rng.random())
+        finally:
+            cpu.release()
+        mailbox.put(index)
+        note("served", index)
+        return index * index
+
+    def consumer(count):
+        for _ in range(count):
+            item = yield mailbox.get()
+            note("consumed", item)
+
+    def abandoned_getter():
+        get = mailbox.get()
+        try:
+            yield get
+        except ProcessInterrupt as exc:
+            mailbox.cancel(get)
+            note("cancelled", exc)
+            raise
+
+    def nested_caller():
+        inner = sim.process(abandoned_getter(), name="inner")
+        try:
+            value = yield inner
+        except ProcessInterrupt:
+            if not inner.triggered:
+                inner.interrupt("caller abandoned")
+            raise
+        return value
+
+    def deadline(factory, seconds):
+        try:
+            yield sim.with_timeout(sim.process(factory()), seconds)
+        except DeadlineExceededError as exc:
+            note("deadline", exc)
+
+    def child():
+        yield sim.timeout(0.001)
+        return "child-done"
+
+    def crasher():
+        yield sim.timeout(1.0)
+        raise RuntimeError("kat crash")
+
+    def main():
+        sim.process(deadline(abandoned_getter, 0.001), name="getter")
+        sim.process(deadline(nested_caller, 0.002), name="nested")
+        # The abandoned getters must not steal the consumer's items.
+        sim.process(consumer(12), name="consumer")
+        requests = []
+        for index in range(12):
+            yield sim.timeout(rng.expovariate(400.0))
+            requests.append(sim.process(request(index), name=f"r{index}"))
+        results = yield sim.all_of(requests)
+        note("all_of", results)
+        finished = sim.process(child(), name="child")
+        yield sim.timeout(0.01)
+        note("late-wait", (yield finished))
+        sim.process(crasher(), name="crasher")
+        yield sim.timeout(2.0)
+        note("main-done")
+
+    sim.process(main(), name="main")
+    with pytest.raises(RuntimeError, match="kat crash"):
+        sim.run()
+    note("crash-surfaced")
+    sim.run()
+    note("drained")
+    return sim, log
+
+
+class TestKnownAnswer:
+    """The event core's order pinned end to end: same heap entries, same
+    (time, sequence) order, same values, whatever the kernel's internals."""
+
+    def test_event_core_scenario(self):
+        sim, log = _event_core_scenario()
+        digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+        assert (sim._sequence, repr(sim.now), len(log)) == (
+            103, "2.0953229551669486", 33)
+        assert digest == (
+            "87e22bc59aaeb94f576487c08fcf2d624d377b661f2b6411422040f8dc3392c8")
