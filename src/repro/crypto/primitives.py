@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+import math
 import struct
 
 _pack_counter = struct.Struct(">Q").pack
@@ -98,6 +99,13 @@ class DeterministicRandom:
 
     def bytes(self, length: int) -> bytes:
         """Return ``length`` pseudo-random bytes."""
+        if 0 < length <= 32:
+            # One block: the size of every randint/random/expovariate draw.
+            counter = self._counter
+            self._counter = counter + 1
+            block = self._prefix.copy()
+            block.update(_pack_counter(counter))
+            return block.digest()[:length]
         if length < 0:
             raise ValueError("length must be non-negative")
         first = self._counter
@@ -134,8 +142,6 @@ class DeterministicRandom:
 
     def expovariate(self, rate: float) -> float:
         """Return an exponentially distributed sample with the given rate."""
-        import math
-
         if rate <= 0:
             raise ValueError("rate must be positive")
         # 1 - random() is in (0, 1], so log() is defined.

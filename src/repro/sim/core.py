@@ -15,7 +15,7 @@ give identical traces.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlineExceededError, SimTimeError, SimulationError
@@ -26,8 +26,14 @@ class Event:
 
     An event moves through three states: pending -> triggered (scheduled on
     the event queue with a value) -> processed (callbacks run). Waiting on an
-    already-processed event resumes the waiter immediately.
+    already-processed event resumes the waiter on the next loop iteration.
+
+    Events are slotted: the kernel allocates several per request, so they
+    carry no per-instance ``__dict__`` and take no ad-hoc attributes.
     """
+
+    __slots__ = ("simulator", "callbacks", "_value", "_failure", "triggered",
+                 "processed")
 
     def __init__(self, simulator: "Simulator") -> None:
         self.simulator = simulator
@@ -55,7 +61,9 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self._value = value
-        self.simulator._enqueue(self.simulator.now, self)
+        simulator = self.simulator
+        heappush(simulator._queue, (simulator.now, simulator._sequence, self))
+        simulator._sequence += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -71,14 +79,21 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` seconds of virtual time in the future."""
 
+    __slots__ = ()
+
     def __init__(self, simulator: "Simulator", delay: float,
                  value: Any = None) -> None:
         if delay < 0:
             raise SimTimeError(f"negative timeout delay: {delay}")
-        super().__init__(simulator)
-        self.triggered = True
+        self.simulator = simulator
+        self.callbacks = []
         self._value = value
-        simulator._enqueue(simulator.now + delay, self)
+        self._failure = None
+        self.triggered = True
+        self.processed = False
+        heappush(simulator._queue,
+                 (simulator.now + delay, simulator._sequence, self))
+        simulator._sequence += 1
 
 
 class Process(Event):
@@ -90,62 +105,74 @@ class Process(Event):
     exception propagates out of :meth:`Simulator.run` to avoid silent loss.
     """
 
+    __slots__ = ("name", "_generator", "_waiting_on")
+
     def __init__(self, simulator: "Simulator",
                  generator: Generator[Event, Any, Any],
                  name: str = "process") -> None:
-        super().__init__(simulator)
+        self.simulator = simulator
+        self.callbacks = []
+        self._value = None
+        self._failure = None
+        self.triggered = False
+        self.processed = False
         self.name = name
         self._generator = generator
+        #: The event whose callbacks hold this process's ``_resume``.
         self._waiting_on: Optional[Event] = None
         # Bootstrap: resume the generator at the current simulation time.
-        bootstrap = Event(simulator)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        simulator._wake(self._resume, None, None)
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
-            if event.failed:
-                target = self._generator.throw(event.failure)
+            if event._failure is None:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.send(event.value)
+                target = self._generator.throw(event._failure)
         except StopIteration as stop:
+            # A finished process must not keep its last wait (and through
+            # it a chain of finished children) alive.
+            self._waiting_on = None
             if not self.triggered:
                 self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - deliberately broad
+            self._waiting_on = None
             if not self.triggered:
                 self.fail(exc)
-                self.simulator._note_process_failure(self, exc)
             return
         if not isinstance(target, Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event"))
             return
-        self._waiting_on = target
         if target.processed:
-            # The event already fired; resume on the next loop iteration.
-            immediate = Event(self.simulator)
-            immediate.callbacks.append(
-                lambda _e: self._resume_from_processed(target))
-            immediate.succeed()
+            # The event already fired; resume with its outcome on the next
+            # loop iteration.
+            self._waiting_on = self.simulator._wake(
+                self._resume, target._value, target._failure)
         else:
             target.callbacks.append(self._resume)
-
-    def _resume_from_processed(self, target: Event) -> None:
-        proxy = Event(self.simulator)
-        proxy.triggered = proxy.processed = True
-        proxy._value = target.value
-        proxy._failure = target.failure
-        self._resume(proxy)
+            self._waiting_on = target
 
     def interrupt(self, reason: str = "interrupted") -> None:
-        """Throw :class:`ProcessInterrupt` into the process."""
+        """Throw :class:`ProcessInterrupt` into the process.
+
+        The interrupt arrives on the next loop iteration. It detaches the
+        wait the process is then suspended on, so that event, when it
+        fires later, does not resume the process a second time.
+        """
         if self.triggered:
             return
-        wakeup = Event(self.simulator)
-        wakeup.callbacks.append(self._resume)
-        wakeup.fail(ProcessInterrupt(reason))
+        self.simulator._wake(self._deliver_interrupt, None,
+                             ProcessInterrupt(reason))
+
+    def _deliver_interrupt(self, wakeup: Event) -> None:
+        if self.triggered:
+            return
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is not None:
+            waiting.callbacks.remove(self._resume)
+        self._resume(wakeup)
 
 
 class ProcessInterrupt(SimulationError):
@@ -159,7 +186,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
-        self._unhandled_failures: List[Tuple[Process, BaseException]] = []
 
     # -- event construction helpers ------------------------------------
 
@@ -253,12 +279,22 @@ class Simulator:
     def _enqueue(self, at: float, event: Event) -> None:
         if at < self.now:
             raise SimTimeError(f"event scheduled in the past: {at} < {self.now}")
-        heapq.heappush(self._queue, (at, self._sequence, event))
+        heappush(self._queue, (at, self._sequence, event))
         self._sequence += 1
 
-    def _note_process_failure(self, process: Process,
-                              exc: BaseException) -> None:
-        self._unhandled_failures.append((process, exc))
+    def _wake(self, callback: Callable[[Event], None], value: Any,
+              failure: Optional[BaseException]) -> Event:
+        """Schedule ``callback`` now with a triggered event carrying
+        ``value``/``failure``: a process start, an interrupt, or a wait on
+        an event that has already fired."""
+        wakeup = Event(self)
+        wakeup.callbacks.append(callback)
+        wakeup._value = value
+        wakeup._failure = failure
+        wakeup.triggered = True
+        heappush(self._queue, (self.now, self._sequence, wakeup))
+        self._sequence += 1
+        return wakeup
 
     # -- running ----------------------------------------------------------
 
@@ -266,31 +302,36 @@ class Simulator:
         """Process one event; returns False when the queue is empty."""
         if not self._queue:
             return False
-        at, _seq, event = heapq.heappop(self._queue)
+        at, _seq, event = heappop(self._queue)
         self.now = at
         event.processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        had_waiter = bool(callbacks)
-        for callback in callbacks:
-            callback(event)
-        if isinstance(event, Process) and event.failed and not had_waiter:
-            # Surface process crashes nobody was waiting for.
-            raise event.failure
+        callbacks = event.callbacks
+        if callbacks:
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
+        elif (event._failure is not None and isinstance(event, Process)
+              and not isinstance(event._failure, ProcessInterrupt)):
+            # Surface process crashes nobody was waiting for. A process
+            # ended by the interrupt it was sent was abandoned, not lost.
+            raise event._failure
         return True
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``."""
-        if until is not None and until < self.now:
+        queue = self._queue
+        if until is None:
+            while queue:
+                self.step()
+            return
+        if until < self.now:
             raise SimTimeError(f"cannot run backwards to {until}")
-        while self._queue:
-            at = self._queue[0][0]
-            if until is not None and at > until:
+        while queue:
+            if queue[0][0] > until:
                 self.now = until
                 return
-            if not self.step():
-                break
-        if until is not None:
-            self.now = max(self.now, until)
+            self.step()
+        self.now = max(self.now, until)
 
     def run_process(self, generator: Generator[Event, Any, Any],
                     name: str = "main") -> Any:

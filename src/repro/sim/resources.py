@@ -48,7 +48,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        grant = self.simulator.event()
+        grant = Event(self.simulator)
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed(self)
@@ -114,7 +114,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = self.simulator.event()
+        event = Event(self.simulator)
         if self._items:
             event.succeed(self._items.popleft())
         elif self._closed:

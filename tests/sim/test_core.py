@@ -169,6 +169,84 @@ class TestProcesses:
 
         assert sim.run_process(main()) == "interrupted"
 
+    def test_interrupt_detaches_the_stale_wait(self):
+        """A victim that survives an interrupt is resumed by its next wait,
+        not by the event it was waiting on when interrupted."""
+        sim = Simulator()
+
+        def victim():
+            try:
+                yield sim.timeout(5.0)
+            except ProcessInterrupt:
+                pass
+            value = yield sim.timeout(10.0, value="late")
+            return (sim.now, value)
+
+        def main():
+            proc = sim.process(victim())
+            yield sim.timeout(1.0)
+            proc.interrupt()
+            result = yield proc
+            return result
+
+        assert sim.run_process(main()) == (11.0, "late")
+
+    def test_interrupt_detaches_a_wait_on_a_fired_event(self):
+        sim = Simulator()
+        fired = sim.event()
+        fired.succeed("early")
+        trace = []
+
+        def victim():
+            yield sim.timeout(1.0)
+            try:
+                trace.append((yield fired))
+            except ProcessInterrupt:
+                trace.append("interrupted")
+            trace.append((yield sim.timeout(2.0, value="after")))
+
+        def main():
+            proc = sim.process(victim())
+            yield sim.timeout(1.0)
+            # The victim has just yielded the fired event; its wake-up is
+            # queued but not yet run.
+            proc.interrupt()
+            yield proc
+
+        sim.run_process(main())
+        assert trace == ["interrupted", "after"]
+        assert sim.now == 3.0
+
+    def test_process_ended_by_its_interrupt_is_not_a_crash(self):
+        """Interrupting a process nobody waits on abandons it; its dying of
+        the interrupt must not surface out of ``run``."""
+        sim = Simulator()
+
+        def sleeper():
+            yield sim.timeout(100.0)
+
+        proc = sim.process(sleeper())
+        sim.run(until=1.0)
+        proc.interrupt()
+        sim.run()
+        assert isinstance(proc.failure, ProcessInterrupt)
+
+    def test_finished_process_releases_its_last_wait(self):
+        """Open-loop generators keep every request process until the window
+        ends; a finished one must not pin its children through the
+        reference it used for interrupts."""
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(1.0)
+
+        def parent():
+            yield sim.process(child())
+
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.processed and proc._waiting_on is None
+
 
 class TestEvents:
     def test_manual_succeed(self):
@@ -373,3 +451,30 @@ class TestKnownAnswer:
             103, "2.0953229551669486", 33)
         assert digest == (
             "87e22bc59aaeb94f576487c08fcf2d624d377b661f2b6411422040f8dc3392c8")
+
+    def test_every_event_and_process_passes_the_public_entry_points(
+            self, monkeypatch):
+        """Instrumentation that wraps ``Simulator.step`` and
+        ``Simulator.process`` on the class sees every event and every
+        process: the run loop dispatches each heap entry through
+        ``self.step()`` and processes start through ``process``."""
+        steps = [0]
+        names = []
+        original_step = Simulator.step
+        original_process = Simulator.process
+
+        def counting_step(self):
+            steps[0] += 1
+            return original_step(self)
+
+        def counting_process(self, generator, name="process"):
+            names.append(name)
+            return original_process(self, generator, name=name)
+
+        monkeypatch.setattr(Simulator, "step", counting_step)
+        monkeypatch.setattr(Simulator, "process", counting_process)
+        sim, _log = _event_core_scenario()
+        assert steps[0] == sim._sequence == 103
+        assert sorted(names) == sorted(
+            ["main", "getter", "nested", "consumer", "process", "process",
+             "inner", "child", "crasher"] + [f"r{i}" for i in range(12)])
