@@ -313,7 +313,7 @@ class Simulator:
         elif (event._failure is not None and isinstance(event, Process)
               and not isinstance(event._failure, ProcessInterrupt)):
             # Surface process crashes nobody was waiting for. A process
-            # ended by the interrupt it was sent was abandoned, not lost.
+            # ended by a ProcessInterrupt was abandoned, not lost.
             raise event._failure
         return True
 
