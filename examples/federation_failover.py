@@ -17,7 +17,7 @@ from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.deployment import Deployment
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.image import build_image
 
 
@@ -29,12 +29,14 @@ def main() -> None:
     regional = deployment.add_instance("regional")
     remote = deployment.add_instance("remote")
 
+    # Peers talk over TLS on one simulated network.
+    network = Network(simulator, deployment.rng.fork(b"net"))
     federation = Federation()
     sites = {"local": Site.SAME_RACK, "regional": Site.SAME_DC,
              "remote": Site.INTERCONTINENTAL_11000KM}
     for service in (local, regional, remote):
         federation.add(FederatedInstance(service, sites[service.name],
-                                         ca.root_public_key))
+                                         ca.root_public_key, network))
     simulator.run_process(federation.connect_all())
     print(f"Federation meshed: "
           f"{ {name: inst.peers() for name, inst in federation.instances.items()} }")
@@ -72,7 +74,7 @@ def main() -> None:
 
     # --- fail-over -----------------------------------------------------------
     backup = deployment.add_instance("local-backup")
-    coordinator = FailoverCoordinator(local, backup)
+    coordinator = FailoverCoordinator(local, backup, network)
 
     def replicate():
         for index in range(3):

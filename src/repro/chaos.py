@@ -85,8 +85,8 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
         secrets=[])
     primary.create_policy(app_policy, client.certificate)
 
-    # Federation over the fabric (new transport), fail-over over the
-    # fabric, and the REST front-end — the three recovery surfaces.
+    # Federation, fail-over and the REST front-end, all over TLS — the
+    # three recovery surfaces.
     local = FederatedInstance(primary, Site.SAME_RACK, ca.root_public_key,
                               network=network, rng=rng.fork(b"fed-1"))
     remote = FederatedInstance(backup, Site.SAME_RACK, ca.root_public_key,
@@ -100,7 +100,7 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     rest_server = PalaemonRestServer(primary, network)
 
     # The fault schedule (all windows in virtual seconds).
-    plan.drop_link("fed-palaemon-1-client", "fed-palaemon-2",
+    plan.drop_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
                    start=0.0, end=2.5)
     plan.counter_outage("counters-3", start=0.0, end=11.0)
     plan.attach_disk(primary.store.disk)

@@ -2,8 +2,8 @@
 
 The CIF guarantees (§IV-B) must hold identically however a request
 arrives. Four transports reach a :class:`~repro.core.service.
-PalaemonService` — the REST/TLS front-end, federation's sealed
-request/reply fabric, failover replication, and the in-process
+PalaemonService` — the REST/TLS front-end, federation and failover
+replication (peer requests over TLS), and the in-process
 :class:`~repro.core.client.PalaemonClient` — and each used to re-implement
 certificate extraction, serving checks, error mapping, and telemetry by
 hand. This module replaces those four hand-rolled paths with:
@@ -28,7 +28,7 @@ Entry points, one per transport style:
 
 - :meth:`Dispatcher.handle` — synchronous request → structured reply
   dict (``{"ok": ...}`` or ``{"error", "kind", "code"}``); never raises.
-  Used by the REST server, federation serve loop, and failover backup.
+  Used by the REST, federation and failover TLS servers.
 - :meth:`Dispatcher.dispatch` — the same pipeline as a simulation
   process: admission may *queue* (virtual time passes) and operations
   with a timed handler pay their modelled latency. Used by the load
@@ -53,6 +53,7 @@ from typing import (
     Tuple,
 )
 
+import repro.errors
 from repro.errors import (
     BadRequestError,
     CertificateRequiredError,
@@ -94,6 +95,14 @@ def error_code(exc: BaseException) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
 
 
+def reply_value(reply: Dict[str, Any]) -> Any:
+    """The value of a :meth:`Dispatcher.handle` reply received from a
+    peer; an error reply re-raises the peer's typed verdict."""
+    if "error" in reply:
+        raise getattr(repro.errors, reply["kind"], ReproError)(reply["error"])
+    return reply["ok"]
+
+
 @dataclass
 class DispatchContext:
     """Everything a handler may consult, resolved by the pipeline."""
@@ -117,7 +126,8 @@ class Operation:
     serving_required: bool = True
     #: Audit record kinds the handler emits (documentation metadata).
     audit: Tuple[str, ...] = ()
-    #: Transports expected to carry this operation (documentation).
+    #: Transports that carry this operation. A peer transport
+    #: (federation, failover) reaches only the operations listing it.
     transports: Tuple[str, ...] = ("rest", "inprocess")
     summary: str = ""
     #: Optional timed variant: a generator paying modelled latency.
@@ -456,7 +466,7 @@ class Dispatcher:
         """Synchronous request -> structured reply; never raises."""
         operation = None
         try:
-            operation = self._resolve(request)
+            operation = self._resolve(request, transport, peer)
             self._count_request(operation.name, transport)
             value = self._run(operation, request, transport,
                               certificate=certificate, peer=peer,
@@ -474,7 +484,7 @@ class Dispatcher:
         """The pipeline as a simulation process (queueing, timed handlers)."""
         operation = None
         try:
-            operation = self._resolve(request)
+            operation = self._resolve(request, transport, peer)
             self._count_request(operation.name, transport)
             value = yield from self._run_process(
                 operation, request, transport, certificate=certificate,
@@ -490,7 +500,7 @@ class Dispatcher:
         """In-process invoker: returns the value or raises the typed error."""
         request = dict(fields)
         request["route"] = route
-        operation = self._resolve(request)
+        operation = self._resolve(request, "inprocess", None)
         self._count_request(operation.name, "inprocess")
         try:
             return self._run(operation, request, "inprocess",
@@ -502,13 +512,15 @@ class Dispatcher:
 
     # -- the pipeline ----------------------------------------------------
 
-    def _resolve(self, request: Any) -> Operation:
+    def _resolve(self, request: Any, transport: str,
+                 peer: Optional[str]) -> Operation:
         if not isinstance(request, dict):
             raise BadRequestError(
                 f"request must be a mapping, got {type(request).__name__}")
         route = request.get("route")
         operation = self.registry.get(route)
-        if operation is None:
+        if operation is None or (peer is not None
+                                 and transport not in operation.transports):
             raise UnknownRouteError(f"unknown route {route!r}")
         return operation
 

@@ -24,17 +24,22 @@ promotion epoch increments so stale primaries are fenced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List
+from typing import Any, Generator, List, Optional
 
-from typing import Optional
-
-from repro.core.dispatch import AUTH_PEER, DEFAULT_REGISTRY, DispatchContext
+from repro.core.dispatch import (
+    AUTH_PEER,
+    DEFAULT_REGISTRY,
+    DispatchContext,
+    reply_value,
+)
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import PolicyError, RetryExhaustedError, RollbackDetectedError
-from repro.sim.core import Event, ProcessInterrupt, Simulator
-from repro.sim.network import Network, Site, rtt_between
+from repro.sim.core import Event, Simulator
+from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
+from repro.tls.channel import TLSConnection, TLSServer
+from repro.tls.handshake import TLSSession
 
 
 @dataclass(frozen=True)
@@ -58,23 +63,20 @@ class ReplicaState:
 class FailoverCoordinator:
     """Manages a primary and one synchronous backup.
 
-    Two replication transports:
-
-    - **legacy** (``network=None``) — replication is modelled as one round
-      trip of latency and the backup acknowledges unconditionally.
-    - **network** (``network`` given) — updates travel as messages between
-      real ``{name}-repl`` endpoints, so a partition or an attached
-      :class:`~repro.sim.faults.FaultPlan` genuinely prevents the ack.
-      :meth:`replicate` then retries under ``retry_policy`` and, on
-      giving up, leaves :meth:`replication_lag` > 0 — which
-      :meth:`promote_backup` honours by replaying only the updates the
-      backup actually acknowledged (bounded-freshness fail-over).
+    The backup serves ``{backup}-repl`` through a :class:`TLSServer`; the
+    primary connects from ``{primary}-repl`` on its first
+    :meth:`replicate`. A partition or an attached
+    :class:`~repro.sim.faults.FaultPlan` genuinely prevents the ack:
+    :meth:`replicate` then retries under ``retry_policy`` and, on giving
+    up, leaves :meth:`replication_lag` > 0 — which :meth:`promote_backup`
+    honours by replaying only the updates the backup actually
+    acknowledged (bounded-freshness fail-over).
     """
 
     def __init__(self, primary: PalaemonService, backup: PalaemonService,
+                 network: Network,
                  primary_site: Site = Site.SAME_DC,
                  backup_site: Site = Site.SAME_DC,
-                 network: Optional[Network] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
         if primary.platform is backup.platform:
@@ -96,15 +98,11 @@ class FailoverCoordinator:
         #: Updates the primary committed locally but the backup has not
         #: acknowledged; resent in order on every attempt.
         self._pending: List[StateUpdate] = []
-        self._primary_ep = None
-        self._backup_ep = None
-        if network is not None:
-            self._primary_ep = network.endpoint(
-                f"{primary.name}-repl", primary_site)
-            self._backup_ep = network.endpoint(
-                f"{backup.name}-repl", backup_site)
-            self.simulator.process(self._backup_serve_loop(),
-                                   name=f"repl-serve-{backup.name}")
+        self._server = TLSServer(
+            network, network.endpoint(f"{backup.name}-repl", backup_site),
+            self._serve_replication)
+        self._server.start()
+        self._connection: Optional[TLSConnection] = None
 
     @property
     def simulator(self) -> Simulator:
@@ -129,24 +127,17 @@ class FailoverCoordinator:
             started = self.simulator.now
             self.primary.store.put(table, key, value)
             self.primary.store.commit_instant()
-            if self.network is None:
-                yield self.simulator.timeout(
-                    rtt_between(self.primary_site, self.backup_site))
-                self._replica.updates.append(update)
-                self._replica.applied_sequence = update.sequence
-            else:
-                self._pending.append(update)
-                try:
-                    ack = yield from self._replicate_pending(update.sequence)
-                except RetryExhaustedError:
-                    # Locally committed but unacknowledged: the lag gauge
-                    # goes positive and promote_backup() will not expose
-                    # this update.
-                    telemetry.gauge("palaemon_failover_replication_lag",
-                                    self.replication_lag())
-                    raise
-                self._pending = [u for u in self._pending
-                                 if u.sequence > ack]
+            self._pending.append(update)
+            try:
+                ack = yield from self._replicate_pending()
+            except RetryExhaustedError:
+                # Locally committed but unacknowledged: the lag gauge
+                # goes positive and promote_backup() will not expose
+                # this update.
+                telemetry.gauge("palaemon_failover_replication_lag",
+                                self.replication_lag())
+                raise
+            self._pending = [u for u in self._pending if u.sequence > ack]
             telemetry.observe("palaemon_failover_replication_seconds",
                               self.simulator.now - started)
         telemetry.inc("palaemon_failover_replications_total")
@@ -154,30 +145,27 @@ class FailoverCoordinator:
                         self.replication_lag())
         return update.sequence
 
-    def _replicate_pending(self, target_sequence: int,
-                           ) -> Generator[Event, Any, int]:
-        """Send all unacked updates; wait for a cumulative ack covering
-        ``target_sequence``, retrying under the coordinator's policy."""
+    def _replicate_pending(self) -> Generator[Event, Any, int]:
+        """Send every unacked update in one request and return the
+        backup's cumulative ack, retrying under the coordinator's policy.
+
+        An error reply is the backup's verdict and is not retried.
+        """
+        if self._connection is None:
+            self._connection = yield from TLSConnection.connect(
+                self.network, f"{self.primary.name}-repl", self.primary_site,
+                self._server.endpoint, self._rng.fork(b"repl-link"),
+                server_certificate=self.backup.certificate,
+                telemetry=self.backup.telemetry)
+            self._server.register_session(self._connection.session)
+        connection = self._connection
 
         def attempt() -> Generator[Event, Any, int]:
-            self._primary_ep.send(
-                self._backup_ep,
-                {"kind": "repl", "updates": list(self._pending)},
-                size_bytes=256 + 128 * len(self._pending),
-                reply_to=self._primary_ep)
-            while True:
-                pending = self._primary_ep.receive()
-                try:
-                    message = yield pending
-                except ProcessInterrupt:
-                    self._primary_ep.inbox.cancel(pending)
-                    raise
-                payload = message.payload
-                if not isinstance(payload, dict) or "ack" not in payload:
-                    continue
-                if payload["ack"] >= target_sequence:
-                    return payload["ack"]
-                # A stale (lower) cumulative ack: keep waiting.
+            reply = yield from connection.request(
+                {"route": "failover.replicate",
+                 "updates": list(self._pending)},
+                size_bytes=256 + 128 * len(self._pending))
+            return reply_value(reply)["ack"]
 
         ack = yield self.simulator.process(self.retry_policy.call(
             self.simulator, attempt, self._rng,
@@ -186,39 +174,19 @@ class FailoverCoordinator:
             name="failover-replicate-retry")
         return ack
 
-    def _backup_serve_loop(self) -> Generator[Event, Any, None]:
-        """Route replication batches through the backup's dispatch pipeline.
+    def _serve_replication(self, request: Any,
+                           _session: TLSSession) -> Any:
+        """Route a replication request through the backup's dispatcher.
 
-        ``{"kind": "repl"}`` messages become ``failover.replicate``
-        requests; the registered handler applies updates in order
-        (idempotently — only the next expected sequence number is
-        applied, everything else is skipped and re-acknowledged) and the
-        cumulative ack travels back. Malformed payloads and refused
-        requests produce no ack, so the primary's retry/backoff layer
-        treats them exactly like a lost message.
+        The dispatcher serves the primary only ``failover.*`` routes.
+        ``failover.replicate`` applies updates in order (idempotently —
+        only the next expected sequence number is applied, everything
+        else is skipped and re-acknowledged) and replies the cumulative
+        ack; a malformed or refused request gets a typed error reply.
         """
-        from repro.sim.resources import StoreClosed
-
-        while True:
-            try:
-                message = yield self._backup_ep.receive()
-            except StoreClosed:
-                return
-            payload = message.payload
-            if not isinstance(payload, dict):
-                continue
-            kind = payload.get("kind")
-            route = ("failover.replicate" if kind == "repl"
-                     else f"failover.{kind}")
-            route_request = {key: value for key, value in payload.items()
-                             if key != "kind"}
-            route_request["route"] = route
-            outcome = self.backup.dispatcher.handle(
-                route_request, transport="failover",
-                peer=self.primary.name, target=self)
-            if message.reply_to is not None and "ok" in outcome:
-                self._backup_ep.send(message.reply_to, outcome["ok"],
-                                     size_bytes=64)
+        return self.backup.dispatcher.handle(
+            request, transport="failover", peer=self.primary.name,
+            target=self)
 
     # -- fail-over -----------------------------------------------------------
 

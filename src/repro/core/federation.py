@@ -10,84 +10,65 @@ other KMSs (§VII). This module implements that federation layer:
 - a policy's secrets can be fetched from a peer when the local instance
   does not hold the policy, subject to the same export rules that govern
   cross-policy imports;
-- all peer traffic is modelled over TLS, so the Fig 12 benchmark's
-  geography sensitivity comes from connection establishment.
+- all peer traffic rides TLS sessions (:mod:`repro.tls.channel`), the
+  same request/reply transport as the REST front-end, so the paper's
+  "all communication is TLS with PFS" (§V-A) holds on the wire and the
+  Fig 12 geography sensitivity comes from connection establishment.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-import repro.errors as errors
-from repro.core.dispatch import AUTH_PEER, DEFAULT_REGISTRY, DispatchContext
+from repro.core.dispatch import (
+    AUTH_PEER,
+    DEFAULT_REGISTRY,
+    DispatchContext,
+    reply_value,
+)
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom, hkdf, sha256
+from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import PublicKey
-from repro.crypto.symmetric import SecretBox
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
     PolicyNotFoundError,
-    ReproError,
 )
-from repro.sim.core import Event, ProcessInterrupt, Simulator
-from repro.sim.network import Network, Site, rtt_between
+from repro.sim.core import Event, Simulator
+from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
-from repro.tls.handshake import handshake_latency
-
-
-@dataclass
-class PeerLink:
-    """An attested, long-lived connection to a remote instance."""
-
-    peer: "FederatedInstance"
-    established: bool = False
-    requests: int = 0
-    #: AEAD box for link traffic in network mode (None in legacy mode).
-    box: Optional[SecretBox] = field(default=None, repr=False)
+from repro.tls.channel import TLSConnection, TLSServer
+from repro.tls.handshake import TLSSession
 
 
 class FederatedInstance:
     """A PALAEMON instance participating in a federation mesh.
 
-    Two transport modes:
-
-    - **legacy** (``network=None``) — peer traffic is modelled as pure
-      latency (:func:`rtt_between`); the remote handler runs in-process.
-      Kept because it is what single-threaded benchmarks (Fig 12) need.
-    - **network** (``network`` given) — every instance owns a real
-      ``fed-{name}`` endpoint and a serve loop; fetches are request/reply
-      messages that can be dropped, duplicated, delayed, or blacked out
-      by an attached :class:`~repro.sim.faults.FaultPlan`, and payloads
-      cross the wire AEAD-sealed under a per-link key derived at peering
-      (the paper's "all peer traffic is TLS", checkable via the wire log).
+    Every instance serves ``fed-{name}`` through a :class:`TLSServer`.
+    Peering opens one TLS connection each way, each from its own client
+    endpoint (``fed-{a}-to-{b}``). A fetch is one sealed request/reply
+    that an attached :class:`~repro.sim.faults.FaultPlan` can drop,
+    duplicate, delay or black out. The server side runs each request
+    through the service's dispatcher as transport ``federation``, so a
+    refusal travels back as a typed error reply.
     """
 
     def __init__(self, service: PalaemonService, site: Site,
-                 ca_root: PublicKey,
-                 network: Optional[Network] = None,
+                 ca_root: PublicKey, network: Network,
                  rng: Optional[DeterministicRandom] = None) -> None:
         self.service = service
         self.site = site
         self.ca_root = ca_root
-        self._links: Dict[str, PeerLink] = {}
         self.network = network
+        #: The attested, long-lived TLS connection to each peer, by name.
+        self._links: Dict[str, TLSConnection] = {}
+        #: Peer name by TLS session id, for requests arriving on the server.
+        self._peer_sessions: Dict[bytes, str] = {}
         self._rng = rng or DeterministicRandom(
             b"federation:" + service.name.encode())
-        self._request_seq = 0
-        #: Serve endpoint (requests in) and client endpoint (replies in).
-        #: Distinct so the serve loop's mailbox getter can never consume a
-        #: reply meant for an in-flight fetch.
-        self.endpoint = None
-        self.client_endpoint = None
-        if network is not None:
-            self.endpoint = network.endpoint(f"fed-{service.name}", site)
-            self.client_endpoint = network.endpoint(
-                f"fed-{service.name}-client", site)
-            self.simulator.process(self._serve_loop(),
-                                   name=f"fed-serve-{service.name}")
+        self.endpoint = network.endpoint(f"fed-{service.name}", site)
+        self._server = TLSServer(network, self.endpoint, self._handle)
+        self._server.start()
 
     @property
     def simulator(self) -> Simulator:
@@ -101,7 +82,11 @@ class FederatedInstance:
 
     def peer_with(self, other: "FederatedInstance",
                   ) -> Generator[Event, Any, None]:
-        """Mutually attest and establish a persistent TLS link."""
+        """Mutually attest and open a persistent TLS connection each way.
+
+        The two handshakes run concurrently, so peering costs one
+        handshake latency.
+        """
         for side, counterpart in ((self, other), (other, self)):
             certificate = counterpart.service.certificate
             if certificate is None:
@@ -113,32 +98,29 @@ class FederatedInstance:
                 raise AttestationError(
                     f"instance {counterpart.name!r} presented a certificate "
                     f"for a different key")
-        yield self.simulator.timeout(
-            handshake_latency(self.site, other.site))
-        link_key = None
-        if self.network is not None and other.network is not None:
-            # Per-link AEAD key, derived at peering like a TLS master
-            # secret; both sides hold the same key but fork their own
-            # nonce streams.
-            link_key = hkdf(sha256(
-                *sorted((self.service.public_key.to_bytes(),
-                         other.service.public_key.to_bytes()))),
-                b"palaemon-federation-link")
-        self._links[other.name] = PeerLink(
-            peer=other, established=True,
-            box=SecretBox(link_key, self._rng.fork(
-                b"link:" + other.name.encode())) if link_key else None)
-        other._links[self.name] = PeerLink(
-            peer=self, established=True,
-            box=SecretBox(link_key, other._rng.fork(
-                b"link:" + self.name.encode())) if link_key else None)
-        for side, counterpart in ((self, other), (other, self)):
+        outbound, inbound = yield self.simulator.all_of(
+            [self._dial(other), other._dial(self)])
+        for side, counterpart, connection in ((self, other, outbound),
+                                              (other, self, inbound)):
+            side._links[counterpart.name] = connection
+            counterpart._server.register_session(connection.session)
+            counterpart._peer_sessions[connection.session.session_id] = (
+                side.name)
             side.service.telemetry.inc("palaemon_federation_peers_total")
             side.service.telemetry.gauge("palaemon_federation_peer_links",
                                          len(side._links))
             side.service.telemetry.audit("federation.peer",
                                          peer=counterpart.name,
                                          site=counterpart.site.value)
+
+    def _dial(self, other: "FederatedInstance") -> Event:
+        """Handshake with ``other``'s server from a per-peer endpoint."""
+        return self.simulator.process(TLSConnection.connect(
+            self.network, f"fed-{self.name}-to-{other.name}", self.site,
+            other.endpoint, self._rng.fork(b"link:" + other.name.encode()),
+            server_certificate=other.service.certificate,
+            client_certificate=self.service.certificate,
+            telemetry=other.service.telemetry))
 
     def peers(self) -> List[str]:
         return sorted(self._links)
@@ -154,25 +136,20 @@ class FederatedInstance:
         The peer enforces the owning policy's export list against the
         *requesting* policy's name — federation does not widen access, it
         only moves it across instances. One request fetches any number of
-        secrets (the Fig 12 flatness).
+        secrets (the Fig 12 flatness). An error reply re-raises the
+        peer's typed verdict.
         """
-        link = self._links.get(peer_name)
-        if link is None or not link.established:
+        connection = self._links.get(peer_name)
+        if connection is None:
             raise AttestationError(f"no attested link to {peer_name!r}")
         telemetry = self.service.telemetry
         with telemetry.span("federation.fetch", peer=peer_name,
                             policy=policy_name):
-            if (self.network is not None and link.box is not None
-                    and link.peer.endpoint is not None):
-                secrets = yield from self._fetch_over_network(
-                    link, policy_name, requesting_policy, secret_names)
-            else:
-                round_trip = rtt_between(self.site, link.peer.site)
-                yield self.simulator.timeout(round_trip)
-                link.requests += 1
-                secrets = link.peer._serve_secret_request(policy_name,
-                                                          requesting_policy,
-                                                          secret_names)
+            reply = yield from connection.request({
+                "route": "federation.fetch", "policy": policy_name,
+                "requesting_policy": requesting_policy,
+                "secrets": list(secret_names)})
+            secrets = reply_value(reply)
         telemetry.inc("palaemon_federation_fetches_total")
         telemetry.audit("federation.fetch", peer=peer_name,
                         policy=policy_name,
@@ -205,96 +182,15 @@ class FederatedInstance:
             name=f"fed-fetch-retry-{self.name}")
         return result
 
-    def _fetch_over_network(self, link: PeerLink, policy_name: str,
-                            requesting_policy: str, secret_names: List[str],
-                            ) -> Generator[Event, Any, Dict[str, bytes]]:
-        """One sealed request/reply over the message fabric."""
-        self._request_seq += 1
-        rid = self._request_seq
-        request = {"kind": "fetch", "rid": rid, "policy": policy_name,
-                   "requesting_policy": requesting_policy,
-                   "secrets": list(secret_names)}
-        self.client_endpoint.send(
-            link.peer.endpoint,
-            {"from": self.name, "data": link.box.seal(pickle.dumps(request))},
-            size_bytes=512, reply_to=self.client_endpoint)
-        link.requests += 1
-        while True:
-            pending = self.client_endpoint.receive()
-            try:
-                message = yield pending
-            except ProcessInterrupt:
-                # Abandoned by a with_timeout deadline: release the
-                # mailbox getter so a retry sees the next reply.
-                self.client_endpoint.inbox.cancel(pending)
-                raise
-            payload = message.payload
-            if not isinstance(payload, dict) or "data" not in payload:
-                continue
-            peer_link = self._links.get(payload.get("from"))
-            if peer_link is None or peer_link.box is None:
-                continue
-            reply = pickle.loads(peer_link.box.open(payload["data"]))
-            if reply.get("rid") != rid:
-                continue  # stale reply from a timed-out attempt
-            if "error_kind" in reply:
-                exc_cls = getattr(errors, reply["error_kind"], ReproError)
-                raise exc_cls(reply["message"])
-            return reply["secrets"]
+    def _handle(self, request: Any, session: TLSSession) -> Dict[str, Any]:
+        """Serve one peer request through the dispatch pipeline.
 
-    def _serve_loop(self) -> Generator[Event, Any, None]:
-        """Answer sealed requests arriving on the serve endpoint.
-
-        A Byzantine or faulty sender cannot crash the loop: messages that
-        are malformed, from unknown peers, or fail AEAD verification are
-        dropped like a TLS alert. Well-formed requests go through the
-        service's dispatch pipeline (``federation.<kind>`` routes), so
-        refusals travel back as typed error replies (``error_kind`` names
-        the exception class) and the client re-raises the *same* verdict
-        it would get in-process — including ``unknown_route`` for kinds
-        the registry does not know.
+        The dispatcher serves a peer only the ``federation.*`` routes;
+        anything else gets a typed ``unknown_route`` reply.
         """
-        from repro.errors import CryptoError
-        from repro.sim.resources import StoreClosed
-
-        while True:
-            try:
-                message = yield self.endpoint.receive()
-            except StoreClosed:
-                return
-            payload = message.payload
-            if not isinstance(payload, dict) or "data" not in payload:
-                continue
-            link = self._links.get(payload.get("from"))
-            if link is None or link.box is None:
-                continue
-            try:
-                request = pickle.loads(link.box.open(payload["data"]))
-            except CryptoError:
-                continue
-            if not isinstance(request, dict):
-                continue
-            route_request = {key: value for key, value in request.items()
-                             if key not in ("kind", "rid")}
-            route_request["route"] = f"federation.{request.get('kind')}"
-            outcome = self.service.dispatcher.handle(
-                route_request, transport="federation",
-                peer=payload.get("from"), target=self)
-            reply: Dict[str, Any] = {"rid": request.get("rid")}
-            if "error" in outcome:
-                reply["error_kind"] = outcome["kind"]
-                reply["message"] = outcome["error"]
-                reply["code"] = outcome["code"]
-            else:
-                reply["secrets"] = outcome["ok"]
-            if message.reply_to is not None:
-                sealed = link.box.seal(pickle.dumps(reply))
-                # Size the reply by its sealed payload, so the latency
-                # model reflects the secrets actually shipped.
-                self.endpoint.send(
-                    message.reply_to,
-                    {"from": self.name, "data": sealed},
-                    size_bytes=len(sealed))
+        return self.service.dispatcher.handle(
+            request, transport="federation",
+            peer=self._peer_sessions.get(session.session_id), target=self)
 
     def _serve_secret_request(self, policy_name: str, requesting_policy: str,
                               secret_names: List[str]) -> Dict[str, bytes]:

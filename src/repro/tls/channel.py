@@ -9,12 +9,13 @@ guarantee (§V-A) is therefore checkable by scanning ``Network.wire_log``.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import PublicKey
+from repro.errors import CryptoError
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
 from repro.tls.handshake import TLSSession, perform_handshake
@@ -158,6 +159,28 @@ class TLSServer:
         self._running = False
         self.endpoint.close()
 
+    def _open(self, payload: Any,
+              ) -> Optional[Tuple[TLSSession, SecureChannel, Any]]:
+        """``(session, channel, envelope)`` for an authentic record.
+
+        Returns None for anything else: a non-mapping payload, a
+        non-bytes session id or record, an unknown session, or a record
+        failing its AEAD check. No datagram can kill the serve loop.
+        """
+        if not isinstance(payload, dict):
+            return None
+        session_id, data = payload.get("session"), payload.get("data")
+        if not (isinstance(session_id, bytes) and isinstance(data, bytes)):
+            return None
+        session = self._sessions.get(session_id)
+        if session is None:
+            return None
+        channel = SecureChannel(session, is_client=False)
+        try:
+            return session, channel, channel.open(data)
+        except CryptoError:
+            return None
+
     def _serve_loop(self) -> Generator[Event, Any, None]:
         from repro.sim.resources import StoreClosed
 
@@ -167,16 +190,15 @@ class TLSServer:
                 message = yield self.endpoint.receive()
             except StoreClosed:
                 return
-            session = self._sessions.get(message.payload["session"])
-            if session is None:
-                continue  # unknown session: drop, like a TLS alert
-            server_channel = SecureChannel(session, is_client=False)
-            envelope = server_channel.open(message.payload["data"])
+            record = self._open(message.payload)
+            if record is None:
+                continue  # not an authentic record: drop, like a TLS alert
+            session, server_channel, envelope = record
             rid = None
             request = envelope
             if isinstance(envelope, dict) and "rid" in envelope:
                 rid = envelope["rid"]
-                request = envelope["body"]
+                request = envelope.get("body")
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
             result = self.handler(request, session)
             if hasattr(result, "__next__"):

@@ -9,7 +9,6 @@ and overload the same ``overloaded`` code, and no serve loop ever
 crashes.
 """
 
-import pickle
 import re
 
 import pytest
@@ -25,6 +24,7 @@ from repro.core.dispatch import (
     default_registry,
     error_code,
 )
+from repro.core.failover import FailoverCoordinator
 from repro.core.federation import FederatedInstance
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.errors import (
@@ -209,54 +209,48 @@ class TestUniformErrorsAcrossTransports:
 
 
 def make_networked_pair(deployment):
-    """Two CA-certified instances peered over the message fabric."""
+    """Two CA-certified instances peered over TLS."""
     network = Network(deployment.simulator, deployment.rng.fork(b"fed-net"))
     local = FederatedInstance(
         deployment.palaemon, Site.SAME_RACK, deployment.ca.root_public_key,
-        network=network, rng=deployment.rng.fork(b"fed-local"))
+        network, rng=deployment.rng.fork(b"fed-local"))
     remote_service = deployment.add_instance("palaemon-2")
     remote = FederatedInstance(
         remote_service, Site.SAME_DC, deployment.ca.root_public_key,
-        network=network, rng=deployment.rng.fork(b"fed-remote"))
+        network, rng=deployment.rng.fork(b"fed-remote"))
     deployment.simulator.run_process(local.peer_with(remote))
     return local, remote, remote_service
 
 
-def sealed_exchange(deployment, local, remote, request):
-    """Send one raw sealed request to the peer; return the opened reply."""
-    link = local._links[remote.name]
+def peer_request(deployment, local, remote, request):
+    """Send one raw request over the federation link; return the reply.
 
-    def exchange():
-        local.client_endpoint.send(
-            remote.endpoint,
-            {"from": local.name, "data": link.box.seal(pickle.dumps(request))},
-            size_bytes=512, reply_to=local.client_endpoint)
-        message = yield local.client_endpoint.receive()
-        return pickle.loads(link.box.open(message.payload["data"]))
-
-    return deployment.simulator.run_process(exchange())
+    :meth:`TLSConnection.request` returns only the reply echoing its
+    request id, so a returned reply is the answer to ``request``.
+    """
+    connection = local._links[remote.name]
+    return deployment.simulator.run_process(connection.request(request))
 
 
 class TestFederationTransportErrors:
-    """Satellite: the sealed peer fabric speaks the same error codes."""
+    """Satellite: the federation TLS link speaks the same error codes."""
 
     def test_bogus_kind_gets_typed_unknown_route_reply(self):
         deployment = Deployment()
         local, remote, _ = make_networked_pair(deployment)
-        reply = sealed_exchange(deployment, local, remote,
-                                {"kind": "bogus", "rid": 7})
-        assert reply["rid"] == 7
-        assert reply["error_kind"] == "UnknownRouteError"
+        reply = peer_request(deployment, local, remote,
+                             {"route": "federation.bogus"})
+        assert reply["kind"] == "UnknownRouteError"
         assert reply["code"] == "unknown_route"
 
     def test_missing_fields_get_bad_request_reply(self):
         deployment = Deployment()
         local, remote, _ = make_networked_pair(deployment)
-        reply = sealed_exchange(deployment, local, remote,
-                                {"kind": "fetch", "rid": 8})
+        reply = peer_request(deployment, local, remote,
+                             {"route": "federation.fetch"})
         assert reply["code"] == "bad_request"
         for field in ("policy", "requesting_policy", "secrets"):
-            assert field in reply["message"]
+            assert field in reply["error"]
 
     def test_serve_loop_survives_garbage_then_serves(self):
         """Byzantine senders cannot crash the loop: after a barrage of
@@ -274,30 +268,27 @@ class TestFederationTransportErrors:
             secrets=[SecretSpec(name="SHARED_KEY", kind=SecretKind.RANDOM,
                                 export_to=("consumer_policy",))])
         remote_service.create_policy(producer, deployment.client.certificate)
-        link = local._links[remote.name]
+        connection = local._links[remote.name]
+        sender = connection.client_endpoint
+        live_session = connection.session.session_id
 
         def barrage():
             # Not a dict at all.
-            local.client_endpoint.send(remote.endpoint, b"noise",
-                                       size_bytes=64)
+            sender.send(remote.endpoint, b"noise", size_bytes=64)
             # A dict without the sealed payload.
-            local.client_endpoint.send(remote.endpoint,
-                                       {"from": local.name}, size_bytes=64)
-            # From a peer the remote never attested.
-            local.client_endpoint.send(
-                remote.endpoint, {"from": "stranger", "data": b"x" * 40},
-                size_bytes=64)
-            # AEAD garbage under a known peer name.
-            local.client_endpoint.send(
-                remote.endpoint, {"from": local.name, "data": b"x" * 40},
-                size_bytes=64)
-            # Sealed, authentic, but not a mapping.
-            local.client_endpoint.send(
-                remote.endpoint,
-                {"from": local.name,
-                 "data": link.box.seal(pickle.dumps([1, 2, 3]))},
-                size_bytes=64)
-            yield deployment.simulator.timeout(0.1)
+            sender.send(remote.endpoint, {"session": live_session},
+                        size_bytes=64)
+            # A session the remote never established.
+            sender.send(remote.endpoint,
+                        {"session": b"stranger", "data": b"x" * 40},
+                        size_bytes=64)
+            # AEAD garbage under a live session.
+            sender.send(remote.endpoint,
+                        {"session": live_session, "data": b"x" * 40},
+                        size_bytes=64)
+            # Sealed, authentic, but not a mapping: a typed refusal.
+            reply = yield from connection.request([1, 2, 3])
+            assert reply["code"] == "bad_request"
             secrets = yield from local.fetch_remote_secrets(
                 remote.name, "producer_policy", "consumer_policy",
                 ["SHARED_KEY"])
@@ -318,6 +309,48 @@ class TestFederationTransportErrors:
 
         with pytest.raises(PolicyNotFoundError):
             deployment.simulator.run_process(fetch())
+
+
+class TestPeerRoutesConfined:
+    """A peer link serves only its own transport's routes: client
+    operations sent over it are unknown and change nothing."""
+
+    TAG = b"\x09" * 32
+
+    def seeded(self):
+        deployment = Deployment()
+        deployment.client.create_policy(deployment.palaemon,
+                                        deployment.make_policy())
+        return deployment
+
+    def assert_refused(self, deployment, send):
+        for request in ({"route": "policy.list"},
+                        {"route": "tag.update", "policy": "ml_policy",
+                         "service": "ml_app", "tag": self.TAG}):
+            reply = deployment.simulator.run_process(send(request))
+            assert reply["code"] == "unknown_route"
+            assert reply["kind"] == "UnknownRouteError"
+        assert deployment.palaemon.get_tag_instant(
+            "ml_policy", "ml_app") != self.TAG
+
+    def test_client_routes_refused_over_federation(self):
+        deployment = self.seeded()
+        local, remote, _ = make_networked_pair(deployment)
+        # ``remote`` asks ``local``, the instance holding the policy.
+        connection = remote._links[local.name]
+        self.assert_refused(deployment, connection.request)
+
+    def test_client_routes_refused_over_replication(self):
+        deployment = self.seeded()
+        network = Network(deployment.simulator,
+                          deployment.rng.fork(b"repl-net"))
+        primary = deployment.add_instance("palaemon-2")
+        # The backup is the instance holding the policy.
+        coordinator = FailoverCoordinator(primary, deployment.palaemon,
+                                          network)
+        deployment.simulator.run_process(
+            coordinator.replicate("chaos", "k", "v"))
+        self.assert_refused(deployment, coordinator._connection.request)
 
 
 class TestAdmissionControl:

@@ -6,7 +6,7 @@ from repro.core.federation import FederatedInstance
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.deployment import Deployment
 from repro.errors import AttestationError, PolicyValidationError, VetoError
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.image import build_image
 
 
@@ -53,8 +53,10 @@ class TestAddInstance:
         root = deployment.ca.root_public_key
         second.certificate.verify(now=deployment.simulator.now,
                                   trusted_root=root)
-        local = FederatedInstance(deployment.palaemon, Site.SAME_RACK, root)
-        remote = FederatedInstance(second, Site.SAME_DC, root)
+        network = Network(deployment.simulator, deployment.rng.fork(b"net"))
+        local = FederatedInstance(deployment.palaemon, Site.SAME_RACK, root,
+                                  network)
+        remote = FederatedInstance(second, Site.SAME_DC, root, network)
         deployment.simulator.run_process(local.peer_with(remote))
         assert local.peers() == ["palaemon-2"]
         assert remote.peers() == [deployment.palaemon.name]

@@ -1,5 +1,7 @@
 """Tests for the extension features: DCAP, federation, and fail-over."""
 
+import pickle
+
 import pytest
 
 from repro import calibration
@@ -17,7 +19,7 @@ from repro.errors import (
     QuoteError,
 )
 from repro.fs.blockstore import BlockStore
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.dcap import DCAPVerifier, ProvisioningAuthority
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
@@ -28,6 +30,11 @@ from tests.core.conftest import Deployment
 @pytest.fixture()
 def deployment():
     return Deployment(seed=b"extensions")
+
+
+@pytest.fixture()
+def network(deployment):
+    return Network(deployment.simulator, deployment.rng.fork(b"peer-net"))
 
 
 class TestDCAP:
@@ -103,13 +110,13 @@ class TestDCAP:
 
 
 class TestFederation:
-    def make_pair(self, deployment):
+    def make_pair(self, deployment, network):
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
         remote_service = deployment.add_instance("palaemon-2")
         remote = FederatedInstance(remote_service,
                                    Site.CONTINENTAL_7000KM,
-                                   deployment.ca.root_public_key)
+                                   deployment.ca.root_public_key, network)
         deployment.simulator.run_process(local.peer_with(remote))
         return local, remote, remote_service
 
@@ -125,14 +132,14 @@ class TestFederation:
         remote_service.create_policy(policy, deployment.client.certificate)
         return policy
 
-    def test_peering_establishes_links(self, deployment):
-        local, remote, _ = self.make_pair(deployment)
+    def test_peering_establishes_links(self, deployment, network):
+        local, remote, _ = self.make_pair(deployment, network)
         assert remote.name in local.peers()
         assert local.name in remote.peers()
 
-    def test_uncertified_peer_rejected(self, deployment):
+    def test_uncertified_peer_rejected(self, deployment, network):
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
         rng = DeterministicRandom(b"rogue-fed")
         rogue_platform = SGXPlatform(deployment.simulator, "rogue-node",
                                      rng.fork(b"p"))
@@ -141,13 +148,13 @@ class TestFederation:
                                 version="tampered")
         deployment.simulator.run_process(rogue.start())
         rogue_fed = FederatedInstance(rogue, Site.SAME_DC,
-                                      deployment.ca.root_public_key)
+                                      deployment.ca.root_public_key, network)
         with pytest.raises(AttestationError):
             deployment.simulator.run_process(local.peer_with(rogue_fed))
         assert rogue_fed.name not in local.peers()
 
-    def test_remote_secret_retrieval(self, deployment):
-        local, remote, remote_service = self.make_pair(deployment)
+    def test_remote_secret_retrieval(self, deployment, network):
+        local, remote, remote_service = self.make_pair(deployment, network)
         self.seed_remote_policy(deployment, remote_service)
 
         def main():
@@ -162,8 +169,9 @@ class TestFederation:
             "secrets", "producer_policy")["SHARED_KEY"].value
         assert secrets["SHARED_KEY"] == expected
 
-    def test_export_rules_enforced_across_instances(self, deployment):
-        local, remote, remote_service = self.make_pair(deployment)
+    def test_export_rules_enforced_across_instances(self, deployment,
+                                                    network):
+        local, remote, remote_service = self.make_pair(deployment, network)
         self.seed_remote_policy(deployment, remote_service,
                                 export_to=("someone_else",))
 
@@ -176,8 +184,8 @@ class TestFederation:
         with pytest.raises(AccessDeniedError):
             deployment.simulator.run_process(main())
 
-    def test_unknown_policy_on_peer(self, deployment):
-        local, remote, _ = self.make_pair(deployment)
+    def test_unknown_policy_on_peer(self, deployment, network):
+        local, remote, _ = self.make_pair(deployment, network)
 
         def main():
             yield deployment.simulator.process(
@@ -186,9 +194,9 @@ class TestFederation:
         with pytest.raises(PolicyNotFoundError):
             deployment.simulator.run_process(main())
 
-    def test_fetch_without_link_rejected(self, deployment):
+    def test_fetch_without_link_rejected(self, deployment, network):
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
 
         def main():
             yield deployment.simulator.process(
@@ -197,8 +205,9 @@ class TestFederation:
         with pytest.raises(AttestationError, match="no attested link"):
             deployment.simulator.run_process(main())
 
-    def test_remote_fetch_latency_dominated_by_distance(self, deployment):
-        local, remote, remote_service = self.make_pair(deployment)
+    def test_remote_fetch_latency_dominated_by_distance(self, deployment,
+                                                        network):
+        local, remote, remote_service = self.make_pair(deployment, network)
         self.seed_remote_policy(deployment, remote_service)
         sim = deployment.simulator
 
@@ -212,16 +221,27 @@ class TestFederation:
         elapsed = sim.run_process(main())
         assert elapsed >= calibration.RTT_7000_KM
 
-    def test_federation_mesh_and_lookup(self, deployment):
+    def test_fetch_goes_through_the_peer_dispatcher(self, deployment,
+                                                    network):
+        local, remote, remote_service = self.make_pair(deployment, network)
+        self.seed_remote_policy(deployment, remote_service)
+        deployment.simulator.run_process(local.fetch_remote_secrets(
+            remote.name, "producer_policy", "consumer_policy",
+            ["SHARED_KEY"]))
+        assert remote_service.telemetry.metrics.counter(
+            "palaemon_dispatch_requests_total", route="federation.fetch",
+            transport="federation").value == 1
+
+    def test_federation_mesh_and_lookup(self, deployment, network):
         federation = Federation()
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
         second = FederatedInstance(deployment.add_instance("palaemon-2"),
                                    Site.SAME_DC,
-                                   deployment.ca.root_public_key)
+                                   deployment.ca.root_public_key, network)
         third = FederatedInstance(
             deployment.add_instance("palaemon-3"),
-            Site.REGIONAL_300KM, deployment.ca.root_public_key)
+            Site.REGIONAL_300KM, deployment.ca.root_public_key, network)
         for instance in (local, second, third):
             federation.add(instance)
         deployment.simulator.run_process(federation.connect_all())
@@ -232,18 +252,18 @@ class TestFederation:
 
 
 class TestFailover:
-    def make_coordinator(self, deployment):
+    def make_coordinator(self, deployment, network):
         backup = deployment.add_instance("palaemon-backup")
-        return FailoverCoordinator(deployment.palaemon, backup)
+        return FailoverCoordinator(deployment.palaemon, backup, network)
 
-    def test_same_platform_backup_rejected(self, deployment):
+    def test_same_platform_backup_rejected(self, deployment, network):
         twin = PalaemonService(deployment.platform, BlockStore("twin"),
                                DeterministicRandom(b"twin"), name="twin")
         with pytest.raises(PolicyError, match="different platform"):
-            FailoverCoordinator(deployment.palaemon, twin)
+            FailoverCoordinator(deployment.palaemon, twin, network)
 
-    def test_replication_flows(self, deployment):
-        coordinator = self.make_coordinator(deployment)
+    def test_replication_flows(self, deployment, network):
+        coordinator = self.make_coordinator(deployment, network)
 
         def main():
             sequence = yield deployment.simulator.process(
@@ -253,8 +273,8 @@ class TestFailover:
         assert deployment.simulator.run_process(main()) == 1
         assert coordinator.replication_lag() == 0
 
-    def test_promotion_exposes_replicated_state(self, deployment):
-        coordinator = self.make_coordinator(deployment)
+    def test_promotion_exposes_replicated_state(self, deployment, network):
+        coordinator = self.make_coordinator(deployment, network)
 
         def run():
             yield deployment.simulator.process(
@@ -269,8 +289,8 @@ class TestFailover:
         assert promoted.store.get("tags", "app") == b"\x02" * 32
         assert coordinator.epoch == 2
 
-    def test_promotion_refused_while_primary_serves(self, deployment):
-        coordinator = self.make_coordinator(deployment)
+    def test_promotion_refused_while_primary_serves(self, deployment, network):
+        coordinator = self.make_coordinator(deployment, network)
 
         def main():
             yield deployment.simulator.process(coordinator.promote_backup())
@@ -278,8 +298,8 @@ class TestFailover:
         with pytest.raises(PolicyError, match="primary is serving"):
             deployment.simulator.run_process(main())
 
-    def test_fenced_primary_cannot_restart(self, deployment):
-        coordinator = self.make_coordinator(deployment)
+    def test_fenced_primary_cannot_restart(self, deployment, network):
+        coordinator = self.make_coordinator(deployment, network)
 
         def run():
             yield deployment.simulator.process(
@@ -290,8 +310,8 @@ class TestFailover:
         deployment.simulator.run_process(run())
         assert coordinator.verify_primary_fenced()
 
-    def test_no_writes_after_promotion_via_old_path(self, deployment):
-        coordinator = self.make_coordinator(deployment)
+    def test_no_writes_after_promotion_via_old_path(self, deployment, network):
+        coordinator = self.make_coordinator(deployment, network)
 
         def run():
             coordinator.primary_crashed()
@@ -301,3 +321,34 @@ class TestFailover:
 
         with pytest.raises(PolicyError, match="before promotion"):
             deployment.simulator.run_process(run())
+
+
+class TestPeerTrafficOnTheWire:
+    """All peer traffic is TLS (§V-A): neither a replicated value nor a
+    federated secret crosses the wire in the clear."""
+
+    def assert_sealed(self, network, plaintext):
+        assert network.wire_log
+        for _time, _src, _dst, payload in network.wire_log:
+            assert plaintext not in pickle.dumps(payload)
+
+    def test_replicated_value_is_sealed(self, deployment, network):
+        network.wire_log_enabled = True
+        coordinator = FailoverCoordinator(
+            deployment.palaemon, deployment.add_instance("palaemon-backup"),
+            network=network)
+        deployment.simulator.run_process(
+            coordinator.replicate("secrets", "p", b"TOP-SECRET-VALUE"))
+        assert coordinator.replication_lag() == 0
+        self.assert_sealed(network, b"TOP-SECRET-VALUE")
+
+    def test_federated_secret_is_sealed(self, deployment, network):
+        network.wire_log_enabled = True
+        federation = TestFederation()
+        local, remote, remote_service = federation.make_pair(deployment,
+                                                             network)
+        federation.seed_remote_policy(deployment, remote_service)
+        secrets = deployment.simulator.run_process(
+            local.fetch_remote_secrets(remote.name, "producer_policy",
+                                       "consumer_policy", ["SHARED_KEY"]))
+        self.assert_sealed(network, secrets["SHARED_KEY"])

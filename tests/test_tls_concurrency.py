@@ -153,6 +153,24 @@ class TestMalformedRequestsOverTls:
         assert described["name"] == deployment.palaemon.name
         server.stop()
 
+    def test_malformed_datagrams_do_not_kill_the_serve_loop(self):
+        """Datagrams that are not authentic TLS records are dropped like
+        a TLS alert; the REST front-end keeps serving."""
+        deployment, server, client = self.make_rest_stack()
+        connection = client.connection
+        live_session = connection.session.session_id
+        for payload in (b"noise",
+                        {"session": live_session, "data": b"x" * 40},
+                        {"session": live_session},
+                        {"session": ["unhashable"], "data": b"x" * 40},
+                        {"session": live_session, "data": "not-bytes"}):
+            connection.client_endpoint.send(server.endpoint, payload,
+                                            size_bytes=64)
+        described = deployment.simulator.run_process(
+            client.call("instance.describe"))
+        assert described["name"] == deployment.palaemon.name
+        server.stop()
+
     def test_missing_fields_and_unknown_routes_over_the_wire(self):
         from repro.core.rest import RemoteError
 
