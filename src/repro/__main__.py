@@ -27,12 +27,13 @@ Commands
     asserts the two driver-level invariants (same seed twice is
     byte-identical; retries disabled deadlocks). See ``docs/CHAOS.md``.
 ``bench-tags``
-    Run the tag-update write-path benchmark (sequential segmented vs
-    legacy monolithic flush, plus concurrent group-commit batching) and
-    export the deterministic results to ``results/tag_throughput.json``.
-    ``--smoke`` runs a reduced configuration, asserts the batching and
-    10x-bytes invariants, and checks the export is byte-identical across
-    reruns. See ``docs/PERFORMANCE.md``.
+    Run the tag-update write-path benchmark (sequential updates set
+    against the total sealed segment size, plus concurrent group-commit
+    batching) and export the deterministic results to
+    ``results/tag_throughput.json``. ``--smoke`` runs a reduced
+    configuration, asserts the batching and 1/10-bytes invariants, and
+    checks the export is byte-identical across reruns. See
+    ``docs/PERFORMANCE.md``.
 ``bench-dispatch``
     Drive an N-client burst through the operation-dispatch pipeline's
     admission control and export the deterministic results
@@ -174,11 +175,10 @@ def cmd_bench_tags(smoke: bool, out: str) -> int:
     from repro.benchlib import tagbench
 
     if smoke:
-        config = dict(policies=150, sequential_updates=6, legacy_updates=3,
-                      workers=6)
+        config = dict(policies=150, sequential_updates=6, workers=6)
     else:
         config = dict(policies=tagbench.DEFAULT_POLICIES,
-                      sequential_updates=12, legacy_updates=6, workers=8)
+                      sequential_updates=12, workers=8)
     document, wall_clock = tagbench.run_benchmark(**config)
     try:
         tagbench.check_invariants(document)
@@ -207,17 +207,13 @@ def cmd_bench_tags(smoke: bool, out: str) -> int:
     sequential = document["sequential"]
     concurrent = document["concurrent"]
     print(json.dumps(document, indent=2, sort_keys=True))
-    print(f"bytes/update: legacy "
-          f"{sequential['legacy']['bytes_written_per_update']} vs segmented "
-          f"{sequential['segmented']['bytes_written_per_update']} "
-          f"({sequential['bytes_written_ratio_legacy_over_segmented']}x)")
+    print(f"bytes/update: {sequential['bytes_written_per_update']} of "
+          f"{sequential['sealed_segment_bytes']} sealed segment bytes")
     print(f"group commit: {concurrent['workers']} workers -> "
           f"{concurrent['disk_commits']} disk commit(s), "
           f"{concurrent['coalesced_commits']} coalesced")
     print(f"wall clock (host-dependent, not exported): "
-          f"segmented {wall_clock['segmented_updates_per_second']:.0f} "
-          f"updates/s, legacy "
-          f"{wall_clock['legacy_updates_per_second']:.0f} updates/s")
+          f"{wall_clock['updates_per_second']:.0f} updates/s")
     return 0
 
 
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     bench_tags = subparsers.add_parser(
         "bench-tags", help="tag-update write-path throughput benchmark")
     bench_tags.add_argument("--smoke", action="store_true",
-                            help="reduced run: assert batching + 10x-bytes "
+                            help="reduced run: assert batching + 1/10-bytes "
                                  "invariants and export determinism")
     bench_tags.add_argument("--out", default="results/tag_throughput.json",
                             help="export path (full runs only)")

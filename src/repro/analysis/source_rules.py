@@ -237,14 +237,14 @@ def _check_service_class(source: SourceFile,
             hint="call self.telemetry.audit(...) on every outcome")
 
 
-#: Function names allowed to serialize the whole document: the migration
-#: path off the pre-segmentation format, and nothing else.
+#: Function names allowed to serialize the whole document: a one-off
+#: format migration, and nothing else.
 _WHOLE_DOCUMENT_ALLOWED = re.compile(r"legacy|migrat")
 
 
 @rule("SRC106", "whole-database serialization on the flush path",
       scope="source", severity=Severity.ERROR,
-      hint="serialize dirty per-table segments; only legacy/migration "
+      hint="seal only the dirty keys' segments; only legacy/migration "
            "helpers may pickle the whole document")
 def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
     yield from _scan_whole_document(source, source.tree, allowed=False)
@@ -266,9 +266,9 @@ def _scan_whole_document(source: SourceFile, node: ast.AST,
                 message=("pickle.dumps(self._data) serializes the whole "
                          "document per flush — the O(database) write path "
                          "the segmented store exists to avoid"),
-                hint="reseal only dirty tables; whole-document "
-                     "serialization belongs in *legacy*/*migration* "
-                     "helpers only")
+                hint="reseal only the dirty keys' segments; "
+                     "whole-document serialization belongs in "
+                     "*legacy*/*migration* helpers only")
         yield from _scan_whole_document(source, child, child_allowed)
 
 

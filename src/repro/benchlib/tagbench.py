@@ -1,15 +1,13 @@
 """Tag-update throughput benchmark (the Fig 10/11 hot path, end to end).
 
 Measures the cost of ``PalaemonService.update_tag`` — the paper's most
-frequent write — against a database of many policies, in three ways:
+frequent write — against a database of many policies, in two ways:
 
-- **sequential, segmented** (the default write path): each update reseals
-  only the dirty tables plus the manifest;
-- **sequential, legacy monolithic** (the pre-segmentation format, kept via
-  :meth:`PolicyStore.use_legacy_monolithic_format`): each update re-pickles
-  and re-encrypts the whole document — the O(database) baseline;
-- **concurrent, segmented**: N simultaneous updaters exercising the
-  group-commit batching in :meth:`PolicyStore.commit`.
+- **sequential**: each update reseals only the updated policy's segment
+  plus the manifest; the bytes it writes are set against the total sealed
+  size of all segments, which is what a whole-document flush would write;
+- **concurrent**: N simultaneous updaters exercising the group-commit
+  batching in :meth:`PolicyStore.commit`.
 
 Two kinds of numbers come out. *Deterministic* facts — simulated elapsed
 time, bytes written to the untrusted store, disk-commit and coalescing
@@ -29,6 +27,7 @@ from typing import Any, Dict, Generator, Tuple
 
 from repro.benchlib.export import export_experiment
 from repro.core.service import PalaemonService, _ServiceState
+from repro.core.store import SEGMENT_PREFIX
 from repro.crypto.primitives import sha256
 from repro.deployment import Deployment
 from repro.sim.core import Event, Simulator
@@ -42,19 +41,15 @@ DEFAULT_POLICIES = 1000
 
 def build_service(name: str, seed: bytes, policies: int,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                  legacy: bool = False,
                   ) -> Tuple[Simulator, PalaemonService]:
     """A started PALAEMON deployment seeded with ``policies`` entries.
 
     The database is bulk-seeded directly through the store (one commit at
-    the end) so setup cost does not depend on the flush strategy under
-    test; per-policy payloads and service states are deterministic
+    the end); per-policy payloads and service states are deterministic
     functions of the seed.
     """
     deployment = Deployment(seed, name=name)
     service = deployment.palaemon
-    if legacy:
-        service.store.use_legacy_monolithic_format()
     payload_rng = deployment.rng.fork(b"payloads")
     for index in range(policies):
         policy_name = _policy_name(index)
@@ -74,12 +69,11 @@ def _policy_name(index: int) -> str:
 
 def measure_sequential(policies: int, updates: int,
                        payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                       legacy: bool = False) -> Tuple[Dict[str, Any], float]:
+                       ) -> Tuple[Dict[str, Any], float]:
     """Sequential tag updates; returns (deterministic facts, wall seconds)."""
-    mode = "legacy" if legacy else "segmented"
     simulator, service = build_service(
-        f"tagbench-{mode}", b"tagbench:" + mode.encode(), policies,
-        payload_bytes=payload_bytes, legacy=legacy)
+        "tagbench-segmented", b"tagbench:segmented", policies,
+        payload_bytes=payload_bytes)
     backing = service.store.store
     bytes_before = backing.bytes_written
     commits_before = service.store.disk.commits
@@ -93,13 +87,15 @@ def measure_sequential(policies: int, updates: int,
             name=f"update-{index}")
     wall_seconds = time.perf_counter() - wall_before
     return {
-        "mode": mode,
         "policies": policies,
         "updates": updates,
         "sim_seconds_per_update":
             (simulator.now - sim_before) / updates,
         "bytes_written_per_update":
             (backing.bytes_written - bytes_before) // updates,
+        "sealed_segment_bytes": sum(
+            len(backing.read(path)) for path in backing.list()
+            if path.startswith(SEGMENT_PREFIX)),
         "disk_commits": service.store.disk.commits - commits_before,
     }, wall_seconds
 
@@ -128,7 +124,6 @@ def measure_concurrent(policies: int, workers: int,
     coalesced = service.telemetry.metrics.counter(
         "palaemon_db_commits_coalesced_total").value
     return {
-        "mode": "concurrent-segmented",
         "policies": policies,
         "workers": workers,
         "sim_seconds_total": finished - sim_before,
@@ -143,45 +138,32 @@ def measure_concurrent(policies: int, workers: int,
 
 def run_benchmark(policies: int = DEFAULT_POLICIES,
                   sequential_updates: int = 12,
-                  legacy_updates: int = 6,
                   workers: int = 8,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
                   ) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Run all three phases.
+    """Run both phases.
 
     Returns ``(document, wall_clock)``: the document holds only
     deterministic facts (stable across reruns, suitable for committing),
     ``wall_clock`` the host-dependent serialization timings.
     """
-    segmented, wall_segmented = measure_sequential(
+    sequential, wall_seconds = measure_sequential(
         policies, sequential_updates, payload_bytes=payload_bytes)
-    legacy, wall_legacy = measure_sequential(
-        policies, legacy_updates, payload_bytes=payload_bytes, legacy=True)
     concurrent = measure_concurrent(policies, workers,
                                     payload_bytes=payload_bytes)
-    bytes_ratio = (legacy["bytes_written_per_update"]
-                   / max(1, segmented["bytes_written_per_update"]))
     document = {
         "config": {
             "policies": policies,
             "payload_bytes": payload_bytes,
             "sequential_updates": sequential_updates,
-            "legacy_updates": legacy_updates,
             "concurrent_workers": workers,
         },
-        "sequential": {
-            "segmented": segmented,
-            "legacy": legacy,
-            "bytes_written_ratio_legacy_over_segmented":
-                round(bytes_ratio, 2),
-        },
+        "sequential": sequential,
         "concurrent": concurrent,
     }
     wall_clock = {
-        "segmented_updates_per_second":
-            sequential_updates / wall_segmented if wall_segmented else 0.0,
-        "legacy_updates_per_second":
-            legacy_updates / wall_legacy if wall_legacy else 0.0,
+        "updates_per_second":
+            sequential_updates / wall_seconds if wall_seconds else 0.0,
     }
     return document, wall_clock
 
@@ -197,10 +179,10 @@ def check_invariants(document: Dict[str, Any]) -> None:
 
     - concurrent updaters must coalesce: fewer disk commits than workers,
       at least one coalesced commit, and every worker's tag recorded;
-    - the segmented write path must move >= 10x fewer bytes per update
-      than the legacy whole-document flush;
-    - the latency model is untouched: a sequential segmented update still
-      pays exactly one disk commit.
+    - a sequential update must write at most 1/10 of the total sealed
+      size of all segments, which is what a whole-document flush writes;
+    - the latency model is untouched: a sequential update still pays
+      exactly one disk commit.
     """
     concurrent = document["concurrent"]
     if concurrent["coalesced_commits"] < 1:
@@ -212,11 +194,11 @@ def check_invariants(document: Dict[str, Any]) -> None:
     if concurrent["expected_tags_recorded"] != concurrent["workers"]:
         raise AssertionError("a coalesced update lost its tag")
     sequential = document["sequential"]
-    ratio = sequential["bytes_written_ratio_legacy_over_segmented"]
-    if ratio < 10.0:
+    written = sequential["bytes_written_per_update"]
+    sealed = sequential["sealed_segment_bytes"]
+    if written * 10 > sealed:
         raise AssertionError(
-            f"segmented flush only {ratio:.1f}x smaller than the legacy "
-            f"whole-document flush (need >= 10x)")
-    segmented = sequential["segmented"]
-    if segmented["disk_commits"] != segmented["updates"]:
+            f"a tag update writes {written} bytes, more than 1/10 of the "
+            f"{sealed} sealed segment bytes a whole-document flush writes")
+    if sequential["disk_commits"] != sequential["updates"]:
         raise AssertionError("sequential updates must pay one commit each")

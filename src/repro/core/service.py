@@ -463,7 +463,7 @@ class PalaemonService:
                 f"requires a board-approved policy update to restart")
         state.clean_exit = False  # session open; set true again on exit
         state.executions += 1
-        self.store.touch("state")
+        self.store.touch("state", policy.name)
         secrets = self._resolve_secrets(policy)
         secret_bytes = {name: value.value for name, value in secrets.items()}
         injected = {}
@@ -538,7 +538,7 @@ class PalaemonService:
         policy.volume(volume_name)  # raises if undeclared
         tags = self.store.get("volume_tags", policy_name)
         tags[volume_name] = tag
-        self.store.touch("volume_tags")
+        self.store.touch("volume_tags", policy_name)
         self.store.commit_instant()
         self.telemetry.inc("palaemon_volume_tag_updates_total")
         self.telemetry.audit("volume_tag.update", policy=policy_name,
@@ -592,8 +592,6 @@ class PalaemonService:
             source_secrets = self.store.get("secrets",
                                             import_spec.from_policy)
             secret = source_secrets[import_spec.secret_name]
-            secret.imported_by.append(policy.name)
-            self.store.touch("secrets")
             resolved[import_spec.bound_name] = SecretValue(
                 name=import_spec.bound_name, kind=secret.kind,
                 value=secret.value, certificate=secret.certificate)
@@ -622,7 +620,7 @@ class PalaemonService:
         state.expected_tag = tag
         if clean_exit:
             state.clean_exit = True
-        self.store.touch("state")
+        self.store.touch("state", policy_name)
         self.store.commit_instant()
         self.telemetry.inc("palaemon_tag_updates_total")
         self.telemetry.audit("tag.update", policy=policy_name,
@@ -640,7 +638,7 @@ class PalaemonService:
             state.expected_tag = tag
             if clean_exit:
                 state.clean_exit = True
-            self.store.touch("state")
+            self.store.touch("state", policy_name)
             yield self.simulator.process(self.store.commit())
             self.telemetry.observe("palaemon_tag_update_seconds",
                                    self.simulator.now - started)

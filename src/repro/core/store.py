@@ -9,12 +9,20 @@ hardware monotonic counter ``c`` in the rollback protocol (Fig 6).
 
 Reads are served from enclave memory; *updates* commit to disk, which is why
 tag updates cost ~6x tag reads (Fig 11 left). To keep that commit cheap the
-database is persisted as **dirty-table segments**: each table seals to its
-own blob under the DB key, and a sealed manifest binds every segment hash to
-the database version. A tag update therefore re-encrypts only the tags
-table, not the whole document. Stores written by older builds as a single
-monolithic blob are loaded transparently and migrated to segments on the
-next flush.
+database is persisted as **one sealed segment per key**: a key's rows from
+every table (for PALAEMON, everything stored under one policy name) seal to
+one blob at ``/palaemon.db.seg/<key>``, whose associated data binds the
+length-prefixed key. A sealed manifest binds the database version, the table
+names and the Merkle root over ``segment path -> sha256(blob)``, so it stays
+the same size however many policies the database holds. A tag update
+therefore reseals one policy's segment plus the manifest, whatever the
+number of policies.
+
+On load every segment under the prefix is read and the Merkle tree rebuilt;
+a deleted, injected, stale or swapped segment changes the root and fails
+with :class:`IntegrityError`. Restoring an old manifest together with its
+old segments is consistent on its own — that whole-store rollback is what
+the ``v == c`` check catches.
 
 ``commit()`` adds **group-commit batching**: concurrent committers inside
 one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
@@ -28,7 +36,12 @@ import pickle
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro import calibration
-from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.merkle import MerkleTree
+from repro.crypto.primitives import (
+    DeterministicRandom,
+    constant_time_equal,
+    sha256,
+)
 from repro.crypto.symmetric import SecretBox
 from repro.errors import IntegrityError, PolicyValidationError
 from repro.fs.blockstore import BlockStore
@@ -36,10 +49,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import DiskModel
 
-#: Pre-segmentation builds persisted the whole document at this path.
-_DB_LEGACY_PATH = "/palaemon.db"
 _MANIFEST_PATH = "/palaemon.db.manifest"
-_SEGMENT_PREFIX = "/palaemon.db.seg/"
+_MANIFEST_AD = b"palaemon-db-manifest"
+SEGMENT_PREFIX = "/palaemon.db.seg/"
 
 _MISSING = object()
 
@@ -49,14 +61,12 @@ _COMMIT_LATENCY_SECONDS = (calibration.TAG_UPDATE_LATENCY_SECONDS
                            - calibration.TAG_READ_LATENCY_SECONDS)
 
 
-def _segment_path(table: str) -> str:
-    return _SEGMENT_PREFIX + table
-
-
-def _segment_ad(table: str) -> bytes:
-    # Bind each segment to its table name so blobs cannot be swapped
-    # between tables by the untrusted store.
-    return b"palaemon-db-segment:" + table.encode()
+def _segment_ad(key: str) -> bytes:
+    # Bind each segment to its key so the untrusted store cannot move a
+    # blob to another key's path.
+    encoded = key.encode()
+    return (b"palaemon-db-segment:" + len(encoded).to_bytes(4, "big")
+            + encoded)
 
 
 class PolicyStore:
@@ -72,120 +82,89 @@ class PolicyStore:
         self.disk = DiskModel(simulator, _COMMIT_LATENCY_SECONDS,
                               name="palaemon-db-disk")
         self._data: Dict[str, Any] = {"version": 0, "tables": {}}
-        # Dirty tracking: which tables (and whether the version) changed
-        # since the last flush; only those are re-sealed and rewritten.
-        self._dirty_tables: Set[str] = set()
+        # Dirty tracking: which keys (and whether the version) changed
+        # since the last flush; only their segments are resealed.
+        self._dirty_keys: Set[str] = set()
         self._meta_dirty = False
-        self._segment_hashes: Dict[str, bytes] = {}
+        # segment path -> sha256(blob) of every segment on disk.
+        self._segments = MerkleTree()
         self._keys_cache: Dict[str, List[str]] = {}
         # Group commit: a monotonically increasing mutation ticket, the
         # active-leader flag, and the queue of (ticket, event) waiters.
         self._mutations = 0
         self._committer_active = False
         self._commit_waiters: List[Tuple[int, Event]] = []
-        self._segmented = True
         if store.exists(_MANIFEST_PATH):
-            self._load_segmented()
-        elif store.exists(_DB_LEGACY_PATH):
-            self._load_legacy_monolithic()
+            self._load()
 
     # -- persistence -----------------------------------------------------
 
-    def _load_segmented(self) -> None:
+    def _load(self) -> None:
         sealed = self.store.read(_MANIFEST_PATH)
         try:
-            payload = self._box.open(sealed,
-                                     associated_data=b"palaemon-db-manifest")
+            payload = self._box.open(sealed, associated_data=_MANIFEST_AD)
         except IntegrityError:
             raise IntegrityError(
                 "policy database manifest failed integrity "
                 "verification") from None
         manifest = pickle.loads(payload)
-        tables: Dict[str, Any] = {}
-        hashes: Dict[str, bytes] = {}
-        for table, expected_hash in sorted(manifest["segments"].items()):
-            blob = self.store.read(_segment_path(table))
-            if sha256(blob) != expected_hash:
-                # A swapped or stale segment: its hash no longer matches
-                # what the sealed manifest committed to.
-                raise IntegrityError(
-                    f"policy database segment {table!r} does not match "
-                    f"the sealed manifest")
+        blobs = {path: self.store.read(path) for path in self.store.list()
+                 if path.startswith(SEGMENT_PREFIX)}
+        segments = MerkleTree.from_snapshot(
+            (path, sha256(blob)) for path, blob in blobs.items())
+        if not constant_time_equal(segments.root(), manifest["root"]):
+            # A deleted, injected, stale or swapped segment: the set on
+            # disk is not the one the sealed manifest committed to.
+            raise IntegrityError(
+                "policy database segments do not match the sealed "
+                "manifest")
+        tables: Dict[str, Dict[str, Any]] = {
+            name: {} for name in manifest["tables"]}
+        for path, blob in blobs.items():
+            key = path[len(SEGMENT_PREFIX):]
             try:
-                segment = self._box.open(
-                    blob, associated_data=_segment_ad(table))
+                rows = pickle.loads(self._box.open(
+                    blob, associated_data=_segment_ad(key)))
             except IntegrityError:
                 raise IntegrityError(
-                    f"policy database segment {table!r} failed integrity "
+                    f"policy database segment {key!r} failed integrity "
                     f"verification") from None
-            tables[table] = pickle.loads(segment)
-            hashes[table] = expected_hash
+            for table, value in rows.items():
+                tables.setdefault(table, {})[key] = value
         self._data = {"version": manifest["version"], "tables": tables}
-        self._segment_hashes = hashes
-
-    def _load_legacy_monolithic(self) -> None:
-        """Load a pre-segmentation whole-document blob (migration path).
-
-        Every table is marked dirty so the next flush rewrites the store
-        in segmented form and retires the monolithic blob.
-        """
-        sealed = self.store.read(_DB_LEGACY_PATH)
-        try:
-            payload = self._box.open(sealed, associated_data=b"palaemon-db")
-        except IntegrityError:
-            raise IntegrityError(
-                "policy database failed integrity verification") from None
-        self._data = pickle.loads(payload)
-        self._dirty_tables = set(self._data["tables"])
-        self._meta_dirty = True
+        self._segments = segments
 
     def _flush(self) -> None:
-        """Reseal and rewrite only the dirty segments plus the manifest."""
-        if not self._segmented:
-            self._flush_legacy_monolithic()
+        """Reseal only the dirty keys' segments, then the manifest."""
+        if not self._dirty_keys and not self._meta_dirty:
             return
-        if not self._dirty_tables and not self._meta_dirty:
-            return
+        tables = self._data["tables"]
         bytes_written = 0
-        for table in sorted(self._dirty_tables):
-            payload = pickle.dumps(self._data["tables"][table])
-            blob = self._box.seal(payload,
-                                  associated_data=_segment_ad(table))
-            self.store.write(_segment_path(table), blob)
-            self._segment_hashes[table] = sha256(blob)
-            bytes_written += len(blob)
-        manifest_payload = pickle.dumps({
+        for key in sorted(self._dirty_keys):
+            path = SEGMENT_PREFIX + key
+            rows = {table: entries[key]
+                    for table, entries in sorted(tables.items())
+                    if key in entries}
+            if rows:
+                blob = self._box.seal(pickle.dumps(rows),
+                                      associated_data=_segment_ad(key))
+                self.store.write(path, blob)
+                self._segments.set_leaf_hash(path, sha256(blob))
+                bytes_written += len(blob)
+            elif path in self._segments:
+                self.store.delete(path)
+                self._segments.remove_leaf(path)
+        manifest_blob = self._box.seal(pickle.dumps({
             "version": self._data["version"],
-            "segments": dict(sorted(self._segment_hashes.items())),
-        })
-        manifest_blob = self._box.seal(
-            manifest_payload, associated_data=b"palaemon-db-manifest")
+            "tables": sorted(tables),
+            "root": self._segments.root(),
+        }), associated_data=_MANIFEST_AD)
         self.store.write(_MANIFEST_PATH, manifest_blob)
         bytes_written += len(manifest_blob)
-        if self.store.exists(_DB_LEGACY_PATH):
-            # Migration complete: the segmented form is now authoritative.
-            self.store.delete(_DB_LEGACY_PATH)
-        self._dirty_tables.clear()
+        self._dirty_keys.clear()
         self._meta_dirty = False
         self.telemetry.inc("palaemon_db_segment_bytes_written",
                            amount=bytes_written)
-
-    def _flush_legacy_monolithic(self) -> None:
-        """Whole-document flush, kept only for migration/benchmark use."""
-        payload = pickle.dumps(self._data)
-        self.store.write(_DB_LEGACY_PATH,
-                         self._box.seal(payload,
-                                        associated_data=b"palaemon-db"))
-        self._dirty_tables.clear()
-        self._meta_dirty = False
-
-    def use_legacy_monolithic_format(self) -> None:
-        """Persist as one whole-document blob (pre-segmentation format).
-
-        Exists so benchmarks and migration tests can produce stores in the
-        old format; the segmented path is the default everywhere else.
-        """
-        self._segmented = False
 
     def commit(self) -> Generator[Event, Any, None]:
         """Durably persist the database (simulated disk latency).
@@ -270,7 +249,7 @@ class PolicyStore:
 
     def put(self, table: str, key: str, value: Any) -> None:
         self.table(table)[key] = value
-        self._mark_dirty(table)
+        self._mark_dirty(table, key)
 
     def get(self, table: str, key: str, default: Any = None) -> Any:
         return self.table(table).get(key, default)
@@ -278,23 +257,23 @@ class PolicyStore:
     def delete(self, table: str, key: str) -> bool:
         """Remove ``key``; returns whether it existed.
 
-        Only an actual removal dirties the table — deleting a missing key
+        Only an actual removal dirties the key — deleting a missing key
         must not force a segment rewrite on the next flush.
         """
         removed = self.table(table).pop(key, _MISSING) is not _MISSING
         if removed:
-            self._mark_dirty(table)
+            self._mark_dirty(table, key)
         return removed
 
-    def touch(self, table: str) -> None:
-        """Mark ``table`` dirty after an in-place mutation of a value.
+    def touch(self, table: str, key: str) -> None:
+        """Mark ``key`` dirty after an in-place mutation of its ``table`` row.
 
         ``put``/``delete`` track dirtiness themselves, but callers that
         mutate a stored object directly (e.g. flipping a state flag) must
-        call this so the segment is rewritten on the next flush.
+        call this so the key's segment is rewritten on the next flush.
         """
         self.table(table)
-        self._mark_dirty(table)
+        self._mark_dirty(table, key)
 
     def keys(self, table: str) -> list:
         cached = self._keys_cache.get(table)
@@ -307,7 +286,7 @@ class PolicyStore:
         table, key = table_key
         return key in self.table(table)
 
-    def _mark_dirty(self, table: str) -> None:
-        self._dirty_tables.add(table)
+    def _mark_dirty(self, table: str, key: str) -> None:
+        self._dirty_keys.add(key)
         self._keys_cache.pop(table, None)
         self._mutations += 1

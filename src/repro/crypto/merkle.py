@@ -92,9 +92,10 @@ class MerkleTree:
         index = bisect_left(self._order, name)
         if existed:
             self._levels[0][index] = leaf
-        else:
-            self._order.insert(index, name)
-            self._levels[0].insert(index, leaf)
+            self._recompute_path(index)
+            return
+        self._order.insert(index, name)
+        self._levels[0].insert(index, leaf)
         self._recompute_from(index)
 
     def remove_leaf(self, name: str) -> None:
@@ -132,6 +133,24 @@ class MerkleTree:
                           for name in self._order]
             self._levels = _compute_levels(leaf_level)
         return self._levels
+
+    def _recompute_path(self, index: int) -> None:
+        """Recompute the root path above an in-place change at ``index``.
+
+        The level lengths are unchanged, so only one node per level — the
+        ancestor of ``index`` — needs rehashing.
+        """
+        levels = self._levels
+        assert levels is not None
+        for child, parent in zip(levels, levels[1:]):
+            left_index = index & ~1
+            index //= 2
+            if left_index + 1 < len(child):
+                parent[index] = _node_hash(child[left_index],
+                                           child[left_index + 1])
+            else:
+                # Odd node is promoted; safe with domain separation.
+                parent[index] = child[left_index]
 
     def _recompute_from(self, index: int) -> None:
         """Recompute cached levels above a change at leaf ``index``.

@@ -316,6 +316,26 @@ class TestSecretImportExport:
             "secrets", "producer")["MODEL_KEY"].value
         assert config.secrets["MODEL_KEY"] == producer_value
 
+    def test_repeated_imports_do_not_grow_the_store(self, deployment):
+        """Attesting an importer must not append to the exporter's row."""
+        producer = deployment.make_policy(
+            name="producer", secrets=[SecretSpec(
+                name="MODEL_KEY", kind=SecretKind.RANDOM,
+                export_to=("consumer",))])
+        deployment.client.create_policy(deployment.palaemon, producer)
+        consumer = deployment.make_policy(
+            name="consumer", secrets=[],
+            imports=[ImportSpec(from_policy="producer",
+                                secret_name="MODEL_KEY")])
+        deployment.client.create_policy(deployment.palaemon, consumer)
+        evidence = deployment.evidence_for("consumer")
+        volume = deployment.palaemon.store.store
+        deployment.palaemon.attest_application(evidence)
+        after_one = volume.total_bytes()
+        for _ in range(19):
+            deployment.palaemon.attest_application(evidence)
+        assert volume.total_bytes() == after_one
+
     def test_unexported_secret_denied(self, deployment):
         producer = deployment.make_policy(
             name="producer", secrets=[SecretSpec(

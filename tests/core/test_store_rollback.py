@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.rollback import RollbackGuard
-from repro.core.store import PolicyStore
+from repro.core.store import SEGMENT_PREFIX, PolicyStore, _segment_ad
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
     ConcurrentInstanceError,
@@ -14,6 +14,8 @@ from repro.errors import (
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.tee.counters import PlatformCounterService
+
+MANIFEST_PATH = "/palaemon.db.manifest"
 
 
 def make_store(store=None, seed=b"store-tests", sim=None):
@@ -62,8 +64,8 @@ class TestPolicyStore:
         db, backing, _ = make_store()
         db.put("t", "k", "v")
         db.commit_instant()
-        raw = backing.read("/palaemon.db.seg/t")
-        backing.tamper("/palaemon.db.seg/t",
+        raw = backing.read(SEGMENT_PREFIX + "k")
+        backing.tamper(SEGMENT_PREFIX + "k",
                        raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
@@ -72,31 +74,22 @@ class TestPolicyStore:
         db, backing, _ = make_store()
         db.put("t", "k", "v")
         db.commit_instant()
-        raw = backing.read("/palaemon.db.manifest")
-        backing.tamper("/palaemon.db.manifest",
-                       raw[:-1] + bytes([raw[-1] ^ 1]))
+        raw = backing.read(MANIFEST_PATH)
+        backing.tamper(MANIFEST_PATH, raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
     def test_segment_swap_detected(self):
-        """A segment replayed from an older commit fails the manifest."""
+        """One policy's segment replayed from an older commit fails the
+        manifest's Merkle root."""
         db, backing, _ = make_store()
         db.put("t", "k", "old")
+        db.put("t", "other", "kept")
         db.commit_instant()
-        stale = backing.read("/palaemon.db.seg/t")
+        stale = backing.read(SEGMENT_PREFIX + "k")
         db.put("t", "k", "new")
         db.commit_instant()
-        backing.tamper("/palaemon.db.seg/t", stale)
-        with pytest.raises(IntegrityError):
-            make_store(store=backing)
-
-    def test_legacy_monolithic_tampering_detected(self):
-        db, backing, _ = make_store()
-        db.use_legacy_monolithic_format()
-        db.put("t", "k", "v")
-        db.commit_instant()
-        raw = backing.read("/palaemon.db")
-        backing.tamper("/palaemon.db", raw[:-1] + bytes([raw[-1] ^ 1]))
+        backing.tamper(SEGMENT_PREFIX + "k", stale)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -115,6 +108,65 @@ class TestPolicyStore:
 
         elapsed = sim.run_process(main())
         assert elapsed == pytest.approx(db.disk.commit_latency)
+
+
+def two_policy_store():
+    """A committed store holding two policies' rows in two tables."""
+    db, backing, _ = make_store()
+    for name in ("alpha", "beta"):
+        db.put("policies", name, {"name": name})
+        db.put("state", name, {"tag": name.encode()})
+    db.set_version(2)
+    db.commit_instant()
+    return db, backing
+
+
+class TestSegmentIntegrity:
+    """Untrusted storage editing the per-key segment set fails closed.
+
+    A stale segment and a tampered manifest or segment are covered in
+    ``TestPolicyStore`` above.
+    """
+
+    def test_deleted_segment_detected(self):
+        _, backing = two_policy_store()
+        backing.delete(SEGMENT_PREFIX + "beta")
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_injected_segment_detected(self):
+        _, backing = two_policy_store()
+        # A validly sealed blob from the same store, under a new name.
+        backing.write(SEGMENT_PREFIX + "gamma",
+                      backing.read(SEGMENT_PREFIX + "alpha"))
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_swapped_segments_detected(self):
+        _, backing = two_policy_store()
+        alpha = backing.read(SEGMENT_PREFIX + "alpha")
+        beta = backing.read(SEGMENT_PREFIX + "beta")
+        backing.tamper(SEGMENT_PREFIX + "alpha", beta)
+        backing.tamper(SEGMENT_PREFIX + "beta", alpha)
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_stale_manifest_detected(self):
+        """An old manifest over current segments fails the root check."""
+        db, backing = two_policy_store()
+        stale = backing.read(MANIFEST_PATH)
+        db.put("state", "beta", {"tag": b"fresh"})
+        db.commit_instant()
+        backing.tamper(MANIFEST_PATH, stale)
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_segment_bound_to_its_key(self):
+        """A segment does not open under another key's associated data."""
+        db, backing = two_policy_store()
+        with pytest.raises(IntegrityError):
+            db._box.open(backing.read(SEGMENT_PREFIX + "alpha"),
+                         associated_data=_segment_ad("beta"))
 
 
 def make_guard(backing=None, sim=None, counters=None, counter_id="c"):

@@ -1,21 +1,21 @@
-"""Tests for dirty-segment persistence, migration, and group commit.
+"""Tests for per-key segment persistence and group commit.
 
 Companion to ``test_store_rollback.py``: that file covers integrity and
 the Fig 6 version protocol; this one covers the write-path mechanics —
-which segments get rewritten, how the legacy monolithic blob migrates,
-and how concurrent committers coalesce into one disk commit.
+which segments get rewritten, and how concurrent committers coalesce
+into one disk commit.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.store import PolicyStore
-from repro.crypto.primitives import DeterministicRandom
+from repro.benchlib.tagbench import build_service
+from repro.core.store import SEGMENT_PREFIX, PolicyStore
+from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import Telemetry
 from repro.sim.core import Simulator
 
-LEGACY_PATH = "/palaemon.db"
 MANIFEST_PATH = "/palaemon.db.manifest"
 
 
@@ -48,41 +48,40 @@ OPERATIONS = st.lists(
 class TestSegmentedPersistence:
     @settings(max_examples=40, deadline=None)
     @given(OPERATIONS)
-    def test_round_trips_like_legacy_monolithic(self, operations):
-        """Segmented and whole-document persistence agree on every state."""
-        segmented, segmented_backing, _ = make_store(seed=b"rt")
-        legacy, legacy_backing, _ = make_store(seed=b"rt")
-        legacy.use_legacy_monolithic_format()
-        for db in (segmented, legacy):
-            apply_operations(db, operations)
-            db.set_version(3)
-            db.commit_instant()
-        reopened_segmented, _, _ = make_store(store=segmented_backing,
-                                              seed=b"rt")
-        # The reopened legacy store exercises the pre-migration load path.
-        reopened_legacy, _, _ = make_store(store=legacy_backing, seed=b"rt")
-        assert reopened_segmented.version == reopened_legacy.version == 3
+    def test_round_trips_to_in_memory_state(self, operations):
+        """A reopened store holds exactly the committed tables and version."""
+        db, backing, _ = make_store(seed=b"rt")
+        apply_operations(db, operations)
+        db.set_version(3)
+        db.commit_instant()
+        reopened, _, _ = make_store(store=backing, seed=b"rt")
+        assert reopened.version == db.version == 3
         for table in ("policies", "state", "tags"):
-            assert (reopened_segmented.table(table)
-                    == reopened_legacy.table(table))
+            assert reopened.table(table) == db.table(table)
 
     @settings(max_examples=25, deadline=None)
-    @given(OPERATIONS)
-    def test_legacy_blob_migrates_to_segments(self, operations):
-        """A pre-segmentation blob loads, then migrates on the next flush."""
-        old, backing, _ = make_store(seed=b"mig")
-        old.use_legacy_monolithic_format()
-        apply_operations(old, operations)
-        old.commit_instant()
-        assert backing.exists(LEGACY_PATH)
-        migrated, _, _ = make_store(store=backing, seed=b"mig")
-        assert migrated._data == old._data
-        migrated.commit_instant()
-        # The first segmented flush retires the monolithic blob.
-        assert not backing.exists(LEGACY_PATH)
-        assert backing.exists(MANIFEST_PATH)
-        reopened, _, _ = make_store(store=backing, seed=b"mig")
-        assert reopened._data == old._data
+    @given(OPERATIONS, OPERATIONS)
+    def test_incremental_flushes_match_one_flush(self, first, second):
+        """Flushing twice leaves the same durable state as flushing once,
+        including segments emptied by a delete."""
+        twice, twice_backing, _ = make_store(seed=b"inc")
+        once, once_backing, _ = make_store(seed=b"inc")
+        apply_operations(twice, first)
+        twice.commit_instant()
+        apply_operations(twice, second)
+        twice.commit_instant()
+        apply_operations(once, first + second)
+        once.commit_instant()
+        reopened_twice, _, _ = make_store(store=twice_backing, seed=b"inc")
+        reopened_once, _, _ = make_store(store=once_backing, seed=b"inc")
+        for table in ("policies", "state", "tags"):
+            assert (reopened_twice.table(table)
+                    == reopened_once.table(table)
+                    == once.table(table))
+        segments = sorted(path for path in twice_backing.list()
+                          if path.startswith(SEGMENT_PREFIX))
+        assert segments == sorted(path for path in once_backing.list()
+                                  if path.startswith(SEGMENT_PREFIX))
 
     def test_clean_commit_writes_nothing(self):
         db, backing, _ = make_store()
@@ -93,17 +92,20 @@ class TestSegmentedPersistence:
         assert backing.write_count == writes
 
     def test_only_dirty_segments_rewritten(self):
-        db, backing, _ = make_store()
-        db.put("tags", "app", b"tag")
-        db.put("policies", "p1", {"name": "p1"})
-        db.commit_instant()
-        clean_generation = backing.generation("/palaemon.db.seg/policies")
-        dirty_generation = backing.generation("/palaemon.db.seg/tags")
-        db.put("tags", "app", b"tag-v2")
-        db.commit_instant()
-        assert backing.generation("/palaemon.db.seg/tags") > dirty_generation
-        assert (backing.generation("/palaemon.db.seg/policies")
-                == clean_generation)
+        """A tag update rewrites exactly its policy's segment plus the
+        manifest, however many policies the store holds."""
+        _, service = build_service("dirty-only", b"dirty-only", 20,
+                                   payload_bytes=64)
+        backing = service.store.store
+        generations = {path: backing.generation(path)
+                       for path in backing.list()}
+        writes = backing.write_count
+        service.update_tag_instant("bench-0007", "svc", sha256(b"tag"))
+        assert backing.write_count == writes + 2
+        rewritten = sorted(path for path in backing.list()
+                           if backing.generation(path)
+                           != generations.get(path))
+        assert rewritten == [MANIFEST_PATH, SEGMENT_PREFIX + "bench-0007"]
 
     def test_delete_dirties_only_on_removal(self):
         db, backing, _ = make_store()
@@ -131,11 +133,12 @@ class TestSegmentedPersistence:
         assert db.keys("t") == ["b", "c"]
 
     def test_touch_marks_table_dirty(self):
+        """``touch`` after an in-place mutation rewrites that key's row."""
         db, backing, _ = make_store()
         db.put("state", "p1", {"flag": False})
         db.commit_instant()
         db.get("state", "p1")["flag"] = True  # in-place mutation
-        db.touch("state")
+        db.touch("state", "p1")
         db.commit_instant()
         reopened, _, _ = make_store(store=backing)
         assert reopened.get("state", "p1") == {"flag": True}

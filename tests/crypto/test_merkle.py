@@ -1,9 +1,11 @@
 """Tests for the incremental Merkle tree."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.crypto import merkle
 from repro.crypto.merkle import MerkleTree
+from repro.crypto.primitives import sha256
 from repro.errors import IntegrityError
 
 
@@ -126,6 +128,54 @@ class TestRoot:
             assert incremental.root() == scratch.root()
             for leaf in model:
                 incremental.prove(leaf).verify(scratch.root())
+
+
+class TestIncrementalCost:
+    def count_node_hashes(self, monkeypatch):
+        calls = []
+        real = merkle._node_hash
+
+        def counting(left, right):
+            calls.append(1)
+            return real(left, right)
+
+        monkeypatch.setattr(merkle, "_node_hash", counting)
+        return calls
+
+    @pytest.mark.parametrize("position", [0, 511, 1023])
+    def test_update_rehashes_only_the_root_path(self, monkeypatch, position):
+        """Updating an existing leaf of 1,024 costs log2(1024) = 10 node
+        hashes wherever the leaf sits, not a rehash of the suffix."""
+        names = [f"/f{i:04d}" for i in range(1024)]
+        tree = MerkleTree.from_snapshot(
+            (name, sha256(name.encode())) for name in names)
+        tree.root()  # materialize the level cache
+        calls = self.count_node_hashes(monkeypatch)
+        tree.set_leaf(names[position], b"updated")
+        assert len(calls) == 10
+        assert tree.root() == MerkleTree.from_snapshot(
+            tree.snapshot().items()).root()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=80),
+           st.lists(st.tuples(st.sampled_from(["set", "remove"]),
+                              st.integers(min_value=0, max_value=99),
+                              st.binary(max_size=8)),
+                    min_size=1, max_size=30))
+    def test_random_sequences_match_rebuild(self, size, operations):
+        """After random sets (updates and inserts) and removes on a built
+        tree of up to 80 leaves, the root equals a fresh rebuild."""
+        tree = MerkleTree.from_snapshot(
+            (f"/f{i:02d}", sha256(b"%d" % i)) for i in range(size))
+        tree.root()
+        for operation, index, data in operations:
+            name = f"/f{index:02d}"
+            if operation == "remove" and name in tree:
+                tree.remove_leaf(name)
+            else:
+                tree.set_leaf(name, data)
+            assert tree.root() == MerkleTree.from_snapshot(
+                tree.snapshot().items()).root()
 
 
 class TestProofs:
