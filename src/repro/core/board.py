@@ -10,8 +10,10 @@ policy, then applies the decision rule:
 - otherwise the request passes iff at least ``threshold`` (= f+1) members
   approve.
 
-Forged verdicts (bad signatures) count as no vote at all, so a Byzantine
-network cannot manufacture approvals.
+A verdict is only ``(approve, signature)``: the evaluator rebuilds the
+signed payload from the board entry it asked and the request it sent, so
+a forged verdict, one signed by another member or one replayed from
+another request counts as ``invalid`` — no vote at all.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro import calibration
-from repro.core.policy import BoardSpec, PolicyBoardMember
-from repro.crypto.certificates import Certificate
+from repro.core.policy import BoardSpec
 from repro.crypto.primitives import sha256
 from repro.crypto.signatures import KeyPair, verify_signature
-from repro.errors import ApprovalDeniedError, SignatureError, VetoError
+from repro.errors import ApprovalDeniedError, VetoError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Site, rtt_between
@@ -50,23 +51,17 @@ class AccessRequest:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One member's signed decision on an access request."""
+    """One member's signed decision (over :func:`verdict_payload`)."""
 
-    member_name: str
-    request_digest: bytes
     approve: bool
     signature: bytes
 
-    def signed_payload(self) -> bytes:
-        return (b"verdict-v1" + self.member_name.encode() + b"|"
-                + self.request_digest + (b"\x01" if self.approve else b"\x00"))
 
-    def verify(self, certificate: Certificate) -> None:
-        """Check the verdict was signed by the member's certified key."""
-        if not verify_signature(certificate.public_key, self.signed_payload(),
-                                self.signature):
-            raise SignatureError(
-                f"verdict from {self.member_name!r} has a bad signature")
+def verdict_payload(member_name: str, request: AccessRequest,
+                    approve: bool) -> bytes:
+    """What a member signs: its name, the request digest, its decision."""
+    return (b"verdict-v1" + member_name.encode() + b"|"
+            + sha256(request.to_bytes()) + (b"\x01" if approve else b"\x00"))
 
 
 #: A member's decision logic: inspects a request, returns approve/reject.
@@ -98,7 +93,6 @@ class ApprovalService:
         self.decision_rule = decision_rule
         self.in_tee = in_tee
         self.use_tls = use_tls
-        self.requests_decided = 0
         #: Members may go offline; requests to them simply never answer.
         self.online = True
 
@@ -113,14 +107,8 @@ class ApprovalService:
     def decide_local(self, request: AccessRequest) -> Verdict:
         """Decide without simulating time (functional tests)."""
         approve = bool(self.decision_rule(request))
-        self.requests_decided += 1
-        verdict = Verdict(member_name=self.member_name,
-                          request_digest=sha256(request.to_bytes()),
-                          approve=approve, signature=b"")
-        signature = self._keys.sign(verdict.signed_payload())
-        return Verdict(member_name=verdict.member_name,
-                       request_digest=verdict.request_digest,
-                       approve=verdict.approve, signature=signature)
+        return Verdict(approve, self._keys.sign(
+            verdict_payload(self.member_name, request, approve)))
 
     def decide(self, request: AccessRequest, caller_site: Site,
                ) -> Generator[Event, Any, Optional[Verdict]]:
@@ -178,11 +166,11 @@ class TwoFactorApprovalService(ApprovalService):
 
 @dataclass
 class ApprovalOutcome:
-    """The aggregated result of a board round."""
+    """The aggregated result of a board round, as board member names."""
 
-    approvals: List[Verdict] = field(default_factory=list)
-    rejections: List[Verdict] = field(default_factory=list)
-    invalid: List[Verdict] = field(default_factory=list)
+    approvals: List[str] = field(default_factory=list)
+    rejections: List[str] = field(default_factory=list)
+    invalid: List[str] = field(default_factory=list)
     unreachable: List[str] = field(default_factory=list)
 
 
@@ -202,57 +190,83 @@ class BoardEvaluator:
         self._services = services
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
+    def approve(self, board: BoardSpec,
+                request: AccessRequest) -> ApprovalOutcome:
+        """One governed round: evaluate and enforce it (raising on
+        denial), counted in ``palaemon_board_rounds_total`` and audited as
+        ``board.round`` either way."""
+        with self.telemetry.span("board.round", policy=request.policy_name,
+                                 operation=request.operation):
+            outcome = self.evaluate_local(board, request)
+            decision = {"decision": "denied"}
+            try:
+                self.enforce(board, request, outcome)
+                decision["decision"] = "approved"
+            except ApprovalDeniedError as exc:
+                decision["reason"] = type(exc).__name__
+                raise
+            finally:
+                self.telemetry.inc("palaemon_board_rounds_total",
+                                   decision=decision["decision"])
+                self.telemetry.audit(
+                    "board.round", policy=request.policy_name,
+                    operation=request.operation, **decision,
+                    approvals=len(outcome.approvals),
+                    rejections=len(outcome.rejections),
+                    invalid=len(outcome.invalid),
+                    unreachable=len(outcome.unreachable))
+        return outcome
+
     def evaluate_local(self, board: BoardSpec,
                        request: AccessRequest) -> ApprovalOutcome:
         """Run a board round without simulating time."""
-        outcome = ApprovalOutcome()
+        verdicts = []
         for member in board.members:
             service = self._services.get(member.approval_endpoint)
-            if service is None or not service.online:
-                outcome.unreachable.append(member.name)
-                continue
-            verdict = service.decide_local(request)
-            if verdict is None:
-                # Abstention (e.g. a person's second factor is missing).
-                outcome.unreachable.append(member.name)
-                continue
-            self._classify(member, verdict, outcome)
-        self._record_round(outcome)
-        return outcome
+            online = service is not None and service.online
+            verdicts.append(service.decide_local(request) if online else None)
+        return self._tally(board, request, verdicts)
 
     def evaluate(self, board: BoardSpec, request: AccessRequest,
                  caller_site: Site = Site.SAME_RACK,
                  ) -> Generator[Event, Any, ApprovalOutcome]:
         """Run a board round with member queries in parallel over TLS."""
-        outcome = ApprovalOutcome()
-        waits = []
-        members = []
-        for member in board.members:
-            service = self._services.get(member.approval_endpoint)
-            if service is None:
-                outcome.unreachable.append(member.name)
-                continue
-            members.append(member)
-            waits.append(self.simulator.process(
-                service.decide(request, caller_site),
-                name=f"approval-{member.name}"))
+        services = [self._services.get(member.approval_endpoint)
+                    for member in board.members]
+        waits = [self.simulator.process(service.decide(request, caller_site),
+                                        name=f"approval-{member.name}")
+                 for member, service in zip(board.members, services)
+                 if service is not None]
         with self.telemetry.span("board.evaluate",
                                  policy=request.policy_name,
                                  operation=request.operation):
             started = self.simulator.now
-            verdicts = yield self.simulator.all_of(waits)
+            answers = iter((yield self.simulator.all_of(waits)))
             self.telemetry.observe("palaemon_board_round_seconds",
                                    self.simulator.now - started)
-        for member, verdict in zip(members, verdicts):
-            if verdict is None:
-                outcome.unreachable.append(member.name)
-            else:
-                self._classify(member, verdict, outcome)
-        self._record_round(outcome)
-        return outcome
+        return self._tally(board, request, [
+            None if service is None else next(answers)
+            for service in services])
 
-    def _record_round(self, outcome: ApprovalOutcome) -> None:
-        """Count the round's votes by verdict class."""
+    def _tally(self, board: BoardSpec, request: AccessRequest,
+               verdicts: List[Optional[Verdict]]) -> ApprovalOutcome:
+        """Classify verdicts (in ``board.members`` order; ``None`` = no
+        answer or abstention) against payloads rebuilt from the board entry
+        and ``request``, and count the round's votes."""
+        outcome = ApprovalOutcome()
+        for member, verdict in zip(board.members, verdicts):
+            if verdict is None:
+                entries = outcome.unreachable
+            elif not verify_signature(
+                    member.certificate.public_key,
+                    verdict_payload(member.name, request, verdict.approve),
+                    verdict.signature):
+                entries = outcome.invalid
+            elif verdict.approve:
+                entries = outcome.approvals
+            else:
+                entries = outcome.rejections
+            entries.append(member.name)
         for vote, entries in (("approve", outcome.approvals),
                               ("reject", outcome.rejections),
                               ("invalid", outcome.invalid),
@@ -260,28 +274,14 @@ class BoardEvaluator:
             if entries:
                 self.telemetry.inc("palaemon_board_votes_total",
                                    amount=len(entries), vote=vote)
-
-    @staticmethod
-    def _classify(member: PolicyBoardMember, verdict: Verdict,
-                  outcome: ApprovalOutcome) -> None:
-        try:
-            verdict.verify(member.certificate)
-        except SignatureError:
-            outcome.invalid.append(verdict)
-            return
-        if verdict.approve:
-            outcome.approvals.append(verdict)
-        else:
-            outcome.rejections.append(verdict)
+        return outcome
 
     @staticmethod
     def enforce(board: BoardSpec, request: AccessRequest,
                 outcome: ApprovalOutcome) -> None:
         """Apply the veto + threshold rule; raises on denial."""
-        rejecting_names = {verdict.member_name
-                           for verdict in outcome.rejections}
         for member in board.members:
-            if member.veto and member.name in rejecting_names:
+            if member.veto and member.name in outcome.rejections:
                 raise VetoError(
                     f"board member {member.name!r} vetoed "
                     f"{request.operation} on policy {request.policy_name!r}")

@@ -201,35 +201,10 @@ class PalaemonService:
             raise PolicyError(
                 f"policy {policy.name!r} has a board but this instance has "
                 f"no board evaluator configured")
-        request = AccessRequest(
+        self.board_evaluator.approve(policy.board, AccessRequest(
             policy_name=policy.name, operation=operation,
             requester_fingerprint=requester.fingerprint(),
-            change_digest=change_digest,
-            nonce=self._rng.bytes(16))
-        with self.telemetry.span("board.round", policy=policy.name,
-                                 operation=operation):
-            outcome = self.board_evaluator.evaluate_local(policy.board,
-                                                          request)
-            try:
-                BoardEvaluator.enforce(policy.board, request, outcome)
-            except PolicyError as exc:
-                self.telemetry.inc("palaemon_board_rounds_total",
-                                   decision="denied")
-                self.telemetry.audit(
-                    "board.round", policy=policy.name, operation=operation,
-                    decision="denied", reason=type(exc).__name__,
-                    approvals=len(outcome.approvals),
-                    rejections=len(outcome.rejections),
-                    invalid=len(outcome.invalid),
-                    unreachable=len(outcome.unreachable))
-                raise
-        self.telemetry.inc("palaemon_board_rounds_total", decision="approved")
-        self.telemetry.audit(
-            "board.round", policy=policy.name, operation=operation,
-            decision="approved", approvals=len(outcome.approvals),
-            rejections=len(outcome.rejections),
-            invalid=len(outcome.invalid),
-            unreachable=len(outcome.unreachable))
+            change_digest=change_digest, nonce=self._rng.bytes(16)))
 
     # -- policy CRUD (§III-C, §IV-E) ------------------------------------------
 

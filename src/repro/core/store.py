@@ -11,18 +11,25 @@ Reads are served from enclave memory; *updates* commit to disk, which is why
 tag updates cost ~6x tag reads (Fig 11 left). To keep that commit cheap the
 database is persisted as **one sealed segment per key**: a key's rows from
 every table (for PALAEMON, everything stored under one policy name) seal to
-one blob at ``/palaemon.db.seg/<key>``, whose associated data binds the
-length-prefixed key. A sealed manifest binds the database version, the table
-names and the Merkle root over ``segment path -> sha256(blob)``, so it stays
+one blob at ``/palaemon.db.seg/<key>@<flush>``, whose associated data binds
+the length-prefixed key. A sealed manifest binds the database version, the
+table names and the Merkle root over ``key -> sha256(blob)``, so it stays
 the same size however many policies the database holds. A tag update
 therefore reseals one policy's segment plus the manifest, whatever the
 number of policies.
 
-On load every segment under the prefix is read and the Merkle tree rebuilt;
-a deleted, injected, stale or swapped segment changes the root and fails
-with :class:`IntegrityError`. Restoring an old manifest together with its
-old segments is consistent on its own — that whole-store rollback is what
-the ``v == c`` check catches.
+A flush is atomic: it writes the new segment versions under the flush's
+own number (an empty blob marks a removed key), switches in the manifest
+last, and only then deletes the versions it superseded. A flush that fails
+part-way removes what it wrote; one cut short by a crash leaves files
+numbered above every committed one, which the next load skips.
+
+On load every segment under the prefix is read and the Merkle tree rebuilt
+from each key's newest version — or, if that does not match, its newest
+version below the highest flush number on disk. A deleted, injected, stale
+or swapped segment matches neither and fails with :class:`IntegrityError`.
+Restoring an old manifest together with its old segments is consistent on
+its own — that whole-store rollback is what the ``v == c`` check catches.
 
 ``commit()`` adds **group-commit batching**: concurrent committers inside
 one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
@@ -61,6 +68,10 @@ _COMMIT_LATENCY_SECONDS = (calibration.TAG_UPDATE_LATENCY_SECONDS
                            - calibration.TAG_READ_LATENCY_SECONDS)
 
 
+def _segment_path(key: str, flush: int) -> str:
+    return f"{SEGMENT_PREFIX}{key}@{flush}"
+
+
 def _segment_ad(key: str) -> bytes:
     # Bind each segment to its key so the untrusted store cannot move a
     # blob to another key's path.
@@ -86,8 +97,11 @@ class PolicyStore:
         # since the last flush; only their segments are resealed.
         self._dirty_keys: Set[str] = set()
         self._meta_dirty = False
-        # segment path -> sha256(blob) of every segment on disk.
+        # key -> sha256(blob) of every committed segment, key -> the file
+        # holding it, and the last committed flush's number.
         self._segments = MerkleTree()
+        self._paths: Dict[str, str] = {}
+        self._flushes = 0
         self._keys_cache: Dict[str, List[str]] = {}
         # Group commit: a monotonically increasing mutation ticket, the
         # active-leader flag, and the queue of (ticket, event) waiters.
@@ -108,11 +122,33 @@ class PolicyStore:
                 "policy database manifest failed integrity "
                 "verification") from None
         manifest = pickle.loads(payload)
-        blobs = {path: self.store.read(path) for path in self.store.list()
-                 if path.startswith(SEGMENT_PREFIX)}
-        segments = MerkleTree.from_snapshot(
-            (path, sha256(blob)) for path, blob in blobs.items())
-        if not constant_time_equal(segments.root(), manifest["root"]):
+        versions: Dict[str, List[Tuple[int, str]]] = {}
+        for path in self.store.list():
+            if not path.startswith(SEGMENT_PREFIX):
+                continue
+            key, _, flush = path[len(SEGMENT_PREFIX):].rpartition("@")
+            if not flush.isdigit():
+                raise IntegrityError(
+                    f"unexpected file {path!r} among the policy database "
+                    f"segments")
+            versions.setdefault(key, []).append((int(flush), path))
+        blobs = {path: self.store.read(path)
+                 for entries in versions.values() for _, path in entries}
+        newest = max((flush for entries in versions.values()
+                      for flush, _ in entries), default=0)
+        # Each key's newest version; if a crash cut the last flush short
+        # before its manifest, the versions below that flush's number.
+        for cutoff in (newest, newest - 1):
+            paths = {}
+            for key, entries in versions.items():
+                below = [entry for entry in entries if entry[0] <= cutoff]
+                if below and blobs[max(below)[1]]:  # b"": a removed key
+                    paths[key] = max(below)[1]
+            segments = MerkleTree.from_snapshot(
+                (key, sha256(blobs[path])) for key, path in paths.items())
+            if constant_time_equal(segments.root(), manifest["root"]):
+                break
+        else:
             # A deleted, injected, stale or swapped segment: the set on
             # disk is not the one the sealed manifest committed to.
             raise IntegrityError(
@@ -120,47 +156,77 @@ class PolicyStore:
                 "manifest")
         tables: Dict[str, Dict[str, Any]] = {
             name: {} for name in manifest["tables"]}
-        for path, blob in blobs.items():
-            key = path[len(SEGMENT_PREFIX):]
+        for key, path in paths.items():
             try:
                 rows = pickle.loads(self._box.open(
-                    blob, associated_data=_segment_ad(key)))
+                    blobs[path], associated_data=_segment_ad(key)))
             except IntegrityError:
                 raise IntegrityError(
                     f"policy database segment {key!r} failed integrity "
                     f"verification") from None
             for table, value in rows.items():
                 tables.setdefault(table, {})[key] = value
+        for path in set(blobs) - set(paths.values()):
+            self.store.delete(path)  # superseded or uncommitted versions
         self._data = {"version": manifest["version"], "tables": tables}
         self._segments = segments
+        self._paths = paths
+        self._flushes = newest
 
     def _flush(self) -> None:
-        """Reseal only the dirty keys' segments, then the manifest."""
+        """Seal the dirty keys' segments under this flush's number, switch
+        in the manifest, then delete the versions it superseded."""
         if not self._dirty_keys and not self._meta_dirty:
             return
         tables = self._data["tables"]
+        flush = self._flushes + 1
         bytes_written = 0
-        for key in sorted(self._dirty_keys):
-            path = SEGMENT_PREFIX + key
-            rows = {table: entries[key]
-                    for table, entries in sorted(tables.items())
-                    if key in entries}
-            if rows:
-                blob = self._box.seal(pickle.dumps(rows),
-                                      associated_data=_segment_ad(key))
-                self.store.write(path, blob)
-                self._segments.set_leaf_hash(path, sha256(blob))
+        # key -> its committed leaf hash (None: a new key), to undo.
+        committed: Dict[str, Optional[bytes]] = {}
+        try:
+            for key in sorted(self._dirty_keys):
+                rows = {table: entries[key]
+                        for table, entries in sorted(tables.items())
+                        if key in entries}
+                if not rows and key not in self._paths:
+                    continue
+                committed[key] = (self._segments.leaf_hash(key)
+                                  if key in self._paths else None)
+                blob = (self._box.seal(pickle.dumps(rows),
+                                       associated_data=_segment_ad(key))
+                        if rows else b"")
+                self.store.write(_segment_path(key, flush), blob)
+                if rows:
+                    self._segments.set_leaf_hash(key, sha256(blob))
+                else:
+                    self._segments.remove_leaf(key)
                 bytes_written += len(blob)
-            elif path in self._segments:
-                self.store.delete(path)
-                self._segments.remove_leaf(path)
-        manifest_blob = self._box.seal(pickle.dumps({
-            "version": self._data["version"],
-            "tables": sorted(tables),
-            "root": self._segments.root(),
-        }), associated_data=_MANIFEST_AD)
-        self.store.write(_MANIFEST_PATH, manifest_blob)
+            manifest_blob = self._box.seal(pickle.dumps({
+                "version": self._data["version"],
+                "tables": sorted(tables),
+                "root": self._segments.root(),
+            }), associated_data=_MANIFEST_AD)
+            self.store.write(_MANIFEST_PATH, manifest_blob)
+        except BaseException:
+            # Nothing was committed: drop this flush's files and leaves.
+            for key, leaf in committed.items():
+                path = _segment_path(key, flush)
+                if self.store.exists(path):
+                    self.store.delete(path)
+                if leaf is not None:
+                    self._segments.set_leaf_hash(key, leaf)
+                elif key in self._segments:
+                    self._segments.remove_leaf(key)
+            raise
         bytes_written += len(manifest_blob)
+        self._flushes = flush
+        for key in committed:
+            if key in self._paths:
+                self.store.delete(self._paths.pop(key))
+            if key in self._segments:
+                self._paths[key] = _segment_path(key, flush)
+            else:
+                self.store.delete(_segment_path(key, flush))
         self._dirty_keys.clear()
         self._meta_dirty = False
         self.telemetry.inc("palaemon_db_segment_bytes_written",

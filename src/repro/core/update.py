@@ -132,10 +132,9 @@ class CAUpdateCoordinator:
         """Run the board round; build the successor CA only on approval."""
         digest = sha256(b"ca-update", version.encode(),
                         *sorted(new_mrenclaves))
-        request = AccessRequest(
+        self.evaluator.approve(self.board, AccessRequest(
             policy_name="palaemon-ca", operation="update",
             requester_fingerprint=self.requester.fingerprint(),
-            change_digest=digest)
-        outcome = self.evaluator.evaluate_local(self.board, request)
-        BoardEvaluator.enforce(self.board, request, outcome)
+            change_digest=digest,
+            nonce=rng.fork(b"ca-update-nonce").bytes(16)))
         return current_ca.updated(new_mrenclaves, rng, version=version)

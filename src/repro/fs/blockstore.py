@@ -57,17 +57,22 @@ class BlockStore:
             del self._files[path]
         except KeyError:
             raise FileNotFoundError(path) from None
-        self._bump(path)
+        # Back to generation 0, "absent": still a change for any reader
+        # that validated the file, and no entry kept per deleted path.
+        self._generations.pop(path, None)
 
     def exists(self, path: str) -> bool:
         return path in self._files
 
     def generation(self, path: str) -> int:
-        """Monotonic per-path write generation (0 = never written).
+        """Per-path write generation (0 = absent: never written or
+        deleted).
 
         Changes on every mutation of ``path``, including attacker-side
         ``tamper``/``restore``, so a cached validation made at generation
-        ``g`` is still sound while ``generation(path) == g``.
+        ``g`` is still sound while ``generation(path) == g``. Writes draw
+        from one increasing epoch, so a rewritten path never returns to a
+        generation it had before.
         """
         return self._generations.get(path, 0)
 

@@ -9,10 +9,43 @@ image — plus the policy and evidence helpers most tests need.
 import pytest
 
 from repro import deployment as builder
+from repro.core.board import ApprovalService, Verdict, verdict_payload
+from repro.core.store import SEGMENT_PREFIX
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.crypto.signatures import KeyPair
 from repro.tee.image import build_image
+
+
+def segment_path(backing, key):
+    """The one file under which ``backing`` holds ``key``'s segment."""
+    [path] = [path for path in backing.list()
+              if path.rpartition("@")[0] == SEGMENT_PREFIX + key]
+    return path
+
+
+class ByzantineApprovalService(ApprovalService):
+    """A board member's approval service turned Byzantine.
+
+    Same member, key and site as ``honest``, but every request is answered
+    with ``forge(self, request)``: anything the member can produce — its
+    honest verdict for another request (``ApprovalService.decide_local``),
+    a statement signed with its own key (:meth:`sign`), a verdict copied
+    from another member, or garbage.
+    """
+
+    def __init__(self, honest: ApprovalService, forge) -> None:
+        vars(self).update(vars(honest))
+        self.forge = forge
+
+    def sign(self, request, approve, name=None) -> Verdict:
+        """A verdict over ``request`` signed with this member's own key,
+        claiming to come from ``name`` (default: this member)."""
+        return Verdict(approve, self._keys.sign(verdict_payload(
+            name or self.member_name, request, approve)))
+
+    def decide_local(self, request):
+        return self.forge(self, request)
 
 
 class Deployment(builder.Deployment):

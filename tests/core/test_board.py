@@ -1,5 +1,7 @@
 """Tests for policy boards: quorum, veto, Byzantine members, forgery."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import calibration
@@ -12,11 +14,13 @@ from repro.core.board import (
 )
 from repro.core.policy import BoardSpec, PolicyBoardMember
 from repro.crypto.certificates import self_signed_certificate
-from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
-from repro.errors import ApprovalDeniedError, SignatureError, VetoError
+from repro.errors import ApprovalDeniedError, VetoError
 from repro.sim.core import Simulator
 from repro.sim.network import Site
+
+from tests.core.conftest import ByzantineApprovalService
 
 
 def make_board(simulator, member_specs, threshold):
@@ -139,46 +143,90 @@ class TestVeto:
 
 
 class TestForgery:
+    """Byzantine members answer through their own approval service; the
+    evaluator counts whatever does not verify against the payload it
+    rebuilds from the board entry and the request as ``invalid``."""
+
     def test_forged_verdict_does_not_count(self):
-        """An attacker cannot inject approvals without member keys."""
+        """Without member keys, an approval cannot be injected."""
         sim = Simulator()
         board, evaluator, services = make_board(
             sim, [("a", reject_everything, False),
                   ("b", reject_everything, False)], threshold=1)
-
-        req = request()
-        outcome = evaluator.evaluate_local(board, req)
-        # Attacker-crafted verdict claiming member "a" approved:
-        forged = Verdict(member_name="a",
-                         request_digest=sha256(req.to_bytes()),
-                         approve=True, signature=b"\x00" * 64)
-        BoardEvaluator._classify(board.member("a"), forged, outcome)
-        assert forged not in outcome.approvals
-        assert forged in outcome.invalid
+        services["ep-a"] = ByzantineApprovalService(
+            services["ep-a"],
+            lambda _service, _request: Verdict(True, b"\x00" * 64))
+        outcome = evaluator.evaluate_local(board, request())
+        assert outcome.invalid == ["a"]
+        assert outcome.approvals == []
         with pytest.raises(ApprovalDeniedError):
-            BoardEvaluator.enforce(board, req, outcome)
+            BoardEvaluator.enforce(board, request(), outcome)
 
     def test_verdict_bound_to_request(self):
-        """A verdict for one request cannot authorize another."""
+        """Approvals signed for another policy and operation, replayed
+        onto a delete, do not authorize it."""
         sim = Simulator()
         board, evaluator, services = make_board(
-            sim, [("a", approve_everything, False)], threshold=1)
-        verdict = services["ep-a"].decide_local(request("read"))
-        verdict.verify(board.member("a").certificate)
-        other_digest = sha256(request("delete").to_bytes())
-        assert verdict.request_digest != other_digest
+            sim, [(name, approve_everything, False) for name in "abc"],
+            threshold=3)
+        other = AccessRequest(policy_name="other-policy", operation="read",
+                              requester_fingerprint=b"\x01" * 16,
+                              nonce=b"\x02" * 16)
+        for endpoint in list(services):
+            services[endpoint] = ByzantineApprovalService(
+                services[endpoint],
+                lambda service, _request: ApprovalService.decide_local(
+                    service, other))
+        outcome = evaluator.evaluate_local(board, request("delete"))
+        assert outcome.invalid == ["a", "b", "c"]
+        with pytest.raises(ApprovalDeniedError, match="0 approvals"):
+            BoardEvaluator.enforce(board, request("delete"), outcome)
 
     def test_tampered_verdict_rejected(self):
+        """Flipping a signed rejection to an approval breaks its signature."""
         sim = Simulator()
-        board, _evaluator, services = make_board(
+        board, evaluator, services = make_board(
             sim, [("a", reject_everything, False)], threshold=1)
-        verdict = services["ep-a"].decide_local(request())
-        flipped = Verdict(member_name=verdict.member_name,
-                          request_digest=verdict.request_digest,
-                          approve=True,  # attacker flips reject -> approve
-                          signature=verdict.signature)
-        with pytest.raises(SignatureError):
-            flipped.verify(board.member("a").certificate)
+        services["ep-a"] = ByzantineApprovalService(
+            services["ep-a"],
+            lambda service, req: replace(
+                ApprovalService.decide_local(service, req), approve=True))
+        outcome = evaluator.evaluate_local(board, request())
+        assert outcome.invalid == ["a"]
+        with pytest.raises(ApprovalDeniedError):
+            BoardEvaluator.enforce(board, request(), outcome)
+
+    def test_member_cannot_forge_another_members_veto(self):
+        """Non-veto member ``b`` signs a rejection naming veto holder
+        ``a``: it counts as ``b``'s invalid vote, not as ``a``'s veto."""
+        sim = Simulator()
+        board, evaluator, services = make_board(
+            sim, [("a", approve_everything, True),
+                  ("b", approve_everything, False),
+                  ("c", approve_everything, False)], threshold=2)
+        services["ep-b"] = ByzantineApprovalService(
+            services["ep-b"],
+            lambda service, req: service.sign(req, False, name="a"))
+        outcome = evaluator.evaluate_local(board, request())
+        assert outcome.invalid == ["b"]
+        assert outcome.rejections == []
+        assert outcome.approvals == ["a", "c"]
+        BoardEvaluator.enforce(board, request(), outcome)
+
+    def test_copied_verdict_counts_for_no_one(self):
+        """Relaying another member's valid verdict is not a vote."""
+        sim = Simulator()
+        board, evaluator, services = make_board(
+            sim, [("a", approve_everything, False),
+                  ("b", reject_everything, False)], threshold=2)
+        honest_a = services["ep-a"]
+        services["ep-b"] = ByzantineApprovalService(
+            services["ep-b"],
+            lambda _service, req: honest_a.decide_local(req))
+        outcome = evaluator.evaluate_local(board, request())
+        assert (outcome.approvals, outcome.invalid) == (["a"], ["b"])
+        with pytest.raises(ApprovalDeniedError, match="1 approvals"):
+            BoardEvaluator.enforce(board, request(), outcome)
 
 
 class TestDecisionRules:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ca import PalaemonCA, build_ca_image
 from repro.core.client import PalaemonClient
-from repro.core.board import BoardEvaluator
+from repro.core.board import ApprovalService, BoardEvaluator
 from repro.core.service import PalaemonService, build_palaemon_image
 from repro.core.update import (
     CAUpdateCoordinator,
@@ -15,11 +15,11 @@ from repro.core.update import (
     prepare_application_update,
 )
 from repro.crypto.primitives import DeterministicRandom, sha256
-from repro.errors import AttestationError, UpdateError
+from repro.errors import ApprovalDeniedError, AttestationError, UpdateError
 from repro.fs.blockstore import BlockStore
 from repro.tee.image import build_image
 
-from tests.core.conftest import Deployment
+from tests.core.conftest import ByzantineApprovalService, Deployment
 
 
 class TestCaImage:
@@ -255,12 +255,42 @@ class TestCaUpdate:
         coordinator = CAUpdateCoordinator(deployment.board,
                                           deployment.evaluator,
                                           deployment.client.certificate)
-        from repro.errors import ApprovalDeniedError
-
         with pytest.raises(ApprovalDeniedError):
             coordinator.approve_and_build(
                 deployment.ca, frozenset({b"\x01" * 32}),
                 DeterministicRandom(b"x"), version="2.0")
+
+    def test_replayed_verdicts_do_not_approve_ca_update(self, deployment):
+        """Approvals recorded in one CA-update round and replayed in the
+        next are bound to the first round's request and count as invalid;
+        both rounds are audited under ``palaemon-ca``."""
+        recorded = {}
+
+        def record_then_replay(service, request):
+            if service.member_name not in recorded:
+                recorded[service.member_name] = ApprovalService.decide_local(
+                    service, request)
+            return recorded[service.member_name]
+
+        services = deployment.approval_services
+        for endpoint, honest in list(services.items()):
+            services[endpoint] = ByzantineApprovalService(
+                honest, record_then_replay)
+        coordinator = CAUpdateCoordinator(deployment.board,
+                                          deployment.evaluator,
+                                          deployment.client.certificate)
+        allowed = frozenset({deployment.palaemon.mrenclave})
+        coordinator.approve_and_build(deployment.ca, allowed,
+                                      DeterministicRandom(b"ca-v2"),
+                                      version="2.0")
+        with pytest.raises(ApprovalDeniedError, match="0 approvals"):
+            coordinator.approve_and_build(
+                deployment.ca, allowed | {b"\x66" * 32},
+                DeterministicRandom(b"ca-v3"), version="3.0")
+        rounds = deployment.telemetry.audit_log.by_kind("board.round")[-2:]
+        assert [(record.details["policy"], record.details["decision"],
+                 record.details["invalid"]) for record in rounds] == [
+            ("palaemon-ca", "approved", 0), ("palaemon-ca", "denied", 3)]
 
     def test_old_ca_certificates_do_not_chain_to_new_root(self, deployment):
         coordinator = CAUpdateCoordinator(deployment.board,

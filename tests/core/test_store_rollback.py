@@ -10,10 +10,13 @@ from repro.errors import (
     IntegrityError,
     PolicyValidationError,
     StaleDatabaseError,
+    StorageFaultError,
 )
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.tee.counters import PlatformCounterService
+
+from tests.core.conftest import segment_path
 
 MANIFEST_PATH = "/palaemon.db.manifest"
 
@@ -64,9 +67,9 @@ class TestPolicyStore:
         db, backing, _ = make_store()
         db.put("t", "k", "v")
         db.commit_instant()
-        raw = backing.read(SEGMENT_PREFIX + "k")
-        backing.tamper(SEGMENT_PREFIX + "k",
-                       raw[:-1] + bytes([raw[-1] ^ 1]))
+        path = segment_path(backing, "k")
+        raw = backing.read(path)
+        backing.tamper(path, raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -86,10 +89,10 @@ class TestPolicyStore:
         db.put("t", "k", "old")
         db.put("t", "other", "kept")
         db.commit_instant()
-        stale = backing.read(SEGMENT_PREFIX + "k")
+        stale = backing.read(segment_path(backing, "k"))
         db.put("t", "k", "new")
         db.commit_instant()
-        backing.tamper(SEGMENT_PREFIX + "k", stale)
+        backing.tamper(segment_path(backing, "k"), stale)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -130,24 +133,26 @@ class TestSegmentIntegrity:
 
     def test_deleted_segment_detected(self):
         _, backing = two_policy_store()
-        backing.delete(SEGMENT_PREFIX + "beta")
+        backing.delete(segment_path(backing, "beta"))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
     def test_injected_segment_detected(self):
         _, backing = two_policy_store()
         # A validly sealed blob from the same store, under a new name.
-        backing.write(SEGMENT_PREFIX + "gamma",
-                      backing.read(SEGMENT_PREFIX + "alpha"))
+        alpha = segment_path(backing, "alpha")
+        backing.write(SEGMENT_PREFIX + "gamma@" + alpha.rpartition("@")[2],
+                      backing.read(alpha))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
     def test_swapped_segments_detected(self):
         _, backing = two_policy_store()
-        alpha = backing.read(SEGMENT_PREFIX + "alpha")
-        beta = backing.read(SEGMENT_PREFIX + "beta")
-        backing.tamper(SEGMENT_PREFIX + "alpha", beta)
-        backing.tamper(SEGMENT_PREFIX + "beta", alpha)
+        alpha_path = segment_path(backing, "alpha")
+        beta_path = segment_path(backing, "beta")
+        alpha, beta = backing.read(alpha_path), backing.read(beta_path)
+        backing.tamper(alpha_path, beta)
+        backing.tamper(beta_path, alpha)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -165,8 +170,95 @@ class TestSegmentIntegrity:
         """A segment does not open under another key's associated data."""
         db, backing = two_policy_store()
         with pytest.raises(IntegrityError):
-            db._box.open(backing.read(SEGMENT_PREFIX + "alpha"),
+            db._box.open(backing.read(segment_path(backing, "alpha")),
                          associated_data=_segment_ad("beta"))
+
+
+def at_manifest_write(backing, action):
+    """Call ``action()`` whenever a manifest write is attempted."""
+    def hook(operation, path):
+        if operation == "write" and path == MANIFEST_PATH:
+            action()
+    backing.fault_hook = hook
+
+
+def fail_write():
+    raise StorageFaultError("injected manifest write failure")
+
+
+def second_commit(db):
+    """Over ``two_policy_store``: change alpha, remove beta, add gamma."""
+    db.put("state", "alpha", {"tag": b"second"})
+    db.delete("policies", "beta")
+    db.delete("state", "beta")
+    db.put("policies", "gamma", {"name": "gamma"})
+    db.set_version(3)
+
+
+FIRST_STATE = (2, {"alpha": {"name": "alpha"}, "beta": {"name": "beta"}},
+               {"alpha": {"tag": b"alpha"}, "beta": {"tag": b"beta"}})
+SECOND_STATE = (3, {"alpha": {"name": "alpha"}, "gamma": {"name": "gamma"}},
+                {"alpha": {"tag": b"second"}})
+
+
+def state_of(db):
+    return db.version, db.table("policies"), db.table("state")
+
+
+class TestAtomicFlush:
+    """A flush that fails, or is cut short, before its manifest is written
+    leaves the previous commit loadable."""
+
+    def test_failed_manifest_write_reopens_to_previous_commit(self):
+        db, backing = two_policy_store()
+        second_commit(db)
+        at_manifest_write(backing, fail_write)
+        with pytest.raises(StorageFaultError):
+            db.commit_instant()
+        backing.fault_hook = None
+        assert state_of(make_store(store=backing)[0]) == FIRST_STATE
+        db.commit_instant()  # the retry commits the second state
+        assert state_of(make_store(store=backing)[0]) == SECOND_STATE
+        assert len([path for path in backing.list()
+                    if path.startswith(SEGMENT_PREFIX)]) == 2
+
+    def test_flush_cut_short_before_manifest_reopens_to_previous_commit(self):
+        """The volume as a crash at the manifest write leaves it: the new
+        segment versions are on disk, the manifest is the first one."""
+        db, backing = two_policy_store()
+        second_commit(db)
+        crashed = BlockStore()
+
+        def crash():
+            crashed.restore(backing.snapshot())
+            fail_write()
+
+        at_manifest_write(backing, crash)
+        with pytest.raises(StorageFaultError):
+            db.commit_instant()
+        reopened, _, _ = make_store(store=crashed)
+        assert state_of(reopened) == FIRST_STATE
+        # The load deleted the uncommitted versions; a new flush commits.
+        assert [path.rpartition("@")[0] for path in crashed.list()
+                if path.startswith(SEGMENT_PREFIX)] == [
+            SEGMENT_PREFIX + "alpha", SEGMENT_PREFIX + "beta"]
+        second_commit(reopened)
+        reopened.commit_instant()
+        assert state_of(make_store(store=crashed)[0]) == SECOND_STATE
+
+    def test_superseded_versions_left_by_a_crash_are_skipped(self):
+        """A crash after the manifest but before the old versions are
+        deleted: the newest versions are the committed ones."""
+        db, backing = two_policy_store()
+        second_commit(db)
+        before_manifest = {}
+        at_manifest_write(
+            backing, lambda: before_manifest.update(backing.snapshot()))
+        db.commit_instant()
+        crashed = BlockStore()
+        crashed.restore({**before_manifest,
+                         MANIFEST_PATH: backing.read(MANIFEST_PATH)})
+        assert state_of(make_store(store=crashed)[0]) == SECOND_STATE
 
 
 def make_guard(backing=None, sim=None, counters=None, counter_id="c"):

@@ -16,6 +16,8 @@ from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import Telemetry
 from repro.sim.core import Simulator
 
+from tests.core.conftest import segment_path
+
 MANIFEST_PATH = "/palaemon.db.manifest"
 
 
@@ -25,6 +27,13 @@ def make_store(store=None, seed=b"segment-tests", sim=None, telemetry=None):
     rng = DeterministicRandom(seed)
     return PolicyStore(sim, store, rng.fork(b"db-key").bytes(32),
                        rng.fork(b"store"), telemetry=telemetry), store, sim
+
+
+def segment_keys(backing):
+    """The keys ``backing`` holds a segment for, one file each."""
+    return sorted(path[len(SEGMENT_PREFIX):].rpartition("@")[0]
+                  for path in backing.list()
+                  if path.startswith(SEGMENT_PREFIX))
 
 
 def apply_operations(db, operations):
@@ -78,10 +87,7 @@ class TestSegmentedPersistence:
             assert (reopened_twice.table(table)
                     == reopened_once.table(table)
                     == once.table(table))
-        segments = sorted(path for path in twice_backing.list()
-                          if path.startswith(SEGMENT_PREFIX))
-        assert segments == sorted(path for path in once_backing.list()
-                                  if path.startswith(SEGMENT_PREFIX))
+        assert segment_keys(twice_backing) == segment_keys(once_backing)
 
     def test_clean_commit_writes_nothing(self):
         db, backing, _ = make_store()
@@ -105,7 +111,8 @@ class TestSegmentedPersistence:
         rewritten = sorted(path for path in backing.list()
                            if backing.generation(path)
                            != generations.get(path))
-        assert rewritten == [MANIFEST_PATH, SEGMENT_PREFIX + "bench-0007"]
+        assert rewritten == [MANIFEST_PATH,
+                             segment_path(backing, "bench-0007")]
 
     def test_delete_dirties_only_on_removal(self):
         db, backing, _ = make_store()

@@ -319,7 +319,10 @@ class TestSyncGenerations:
         second = store.generation("/a")
         store.restore({"/a": b"3"})
         third = store.generation("/a")
-        assert 0 < first < second < third
+        store.delete("/a")
+        deleted = store.generation("/a")
+        store.write("/a", b"4")
+        assert 0 == deleted < first < second < third < store.generation("/a")
 
 
 class TestFspf:

@@ -10,10 +10,10 @@ documents the boundary instead.
 import pytest
 
 from repro.core.attestation import AttestationEvidence
-from repro.core.board import AccessRequest, BoardEvaluator, Verdict
+from repro.core.board import AccessRequest, Verdict
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
     AccessDeniedError,
@@ -22,7 +22,6 @@ from repro.errors import (
     IntegrityError,
     MrenclaveNotPermittedError,
     SealingError,
-    SignatureError,
     StaleDatabaseError,
     TagMismatchError,
 )
@@ -31,7 +30,7 @@ from repro.runtime.scone import SconeRuntime
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
-from tests.core.conftest import Deployment
+from tests.core.conftest import ByzantineApprovalService, Deployment
 
 
 @pytest.fixture()
@@ -173,31 +172,38 @@ class TestNetworkAdversary:
             deployment.palaemon.attest_application(hijacked)
 
     def test_approval_verdict_replay_rejected(self, deployment):
-        """A verdict captured for one request cannot authorize another:
-        the per-request nonce changes the signed digest."""
-        service = deployment.approval_services["approval-member-0"]
-        member = deployment.board.member("member-0")
-        rng = DeterministicRandom(b"nonces")
-        first = AccessRequest(policy_name="p", operation="update",
-                              requester_fingerprint=b"\x01" * 16,
-                              nonce=rng.bytes(16))
-        replayed_at = AccessRequest(policy_name="p", operation="update",
-                                    requester_fingerprint=b"\x01" * 16,
-                                    nonce=rng.bytes(16))
-        verdict = service.decide_local(first)
-        verdict.verify(member.certificate)  # valid for its own request
-        # Replaying against the second request: digest no longer matches.
-        assert verdict.request_digest != sha256(replayed_at.to_bytes())
+        """Approvals captured from a read round, replayed onto a delete of
+        the same policy, do not authorize it: each verdict is checked
+        against the request it answers, nonce included."""
+        deployment.client.create_policy(deployment.palaemon,
+                                        deployment.make_policy())
+        read = AccessRequest(
+            policy_name="ml_policy", operation="read",
+            requester_fingerprint=deployment.client.certificate.fingerprint(),
+            nonce=DeterministicRandom(b"captured").bytes(16))
+        for endpoint, honest in list(deployment.approval_services.items()):
+            captured = honest.decide_local(read)
+            deployment.approval_services[endpoint] = ByzantineApprovalService(
+                honest, lambda _service, _request, verdict=captured: verdict)
+        with pytest.raises(ApprovalDeniedError, match="0 approvals"):
+            deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        denied = deployment.telemetry.audit_log.by_kind("board.round")[-1]
+        assert (denied.details["operation"], denied.details["invalid"]) == (
+            "delete", 3)
 
     def test_forged_verdict_signature_rejected(self, deployment):
-        member = deployment.board.member("member-1")
-        request = AccessRequest(policy_name="p", operation="update",
-                                requester_fingerprint=b"\x02" * 16)
-        forged = Verdict(member_name=member.name,
-                         request_digest=sha256(request.to_bytes()),
-                         approve=True, signature=b"\x99" * 64)
-        with pytest.raises(SignatureError):
-            forged.verify(member.certificate)
+        """An approval with a forged signature is no vote."""
+        deployment.client.create_policy(deployment.palaemon,
+                                        deployment.make_policy())
+        services = deployment.approval_services
+        services["approval-member-0"].decision_rule = lambda _request: False
+        services["approval-member-1"] = ByzantineApprovalService(
+            services["approval-member-1"],
+            lambda _service, _request: Verdict(True, b"\x99" * 64))
+        with pytest.raises(ApprovalDeniedError, match="1 approvals"):
+            deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        denied = deployment.telemetry.audit_log.by_kind("board.round")[-1]
+        assert denied.details["invalid"] == 1
 
 
 class TestByzantineClient:
